@@ -1,9 +1,9 @@
 package deltacolor_test
 
-// One benchmark per experiment of DESIGN.md §4. Each iteration regenerates
-// the experiment's full table (in quick mode so -bench terminates in
-// minutes); `go run ./cmd/benchsuite` produces the full-scale tables that
-// EXPERIMENTS.md records. The benchmarks double as end-to-end smoke tests:
+// One benchmark per experiment runner of internal/exp. Each iteration
+// regenerates the experiment's full table (in quick mode so -bench
+// terminates in minutes); `go run ./cmd/benchsuite` produces the
+// full-scale tables. The benchmarks double as end-to-end smoke tests:
 // every runner panics on an invalid coloring.
 
 import (

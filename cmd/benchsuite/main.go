@@ -1,6 +1,6 @@
-// Command benchsuite runs the experiment suite E1–E16 (DESIGN.md §4) at
-// full scale and prints every table as markdown — the exact content
-// EXPERIMENTS.md records. Use -quick for a smoke-scale pass and -only to
+// Command benchsuite runs the experiment suite E1–E16 (the runners of
+// internal/exp, one per experiment) at full scale and prints every table
+// as markdown. Use -quick for a smoke-scale pass and -only to
 // select individual experiments. -strict turns any message staged for a
 // halted neighbor into a hard failure (dead-send regression gate). E12 is
 // the runtime-throughput benchmark; -runtimejson additionally serializes

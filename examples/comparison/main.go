@@ -66,5 +66,5 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Println("\nrounds are simulated LOCAL communication rounds (the quantity the paper's theorems bound),")
-	fmt.Println("not wall-clock time; see EXPERIMENTS.md for the full E1–E10 suite.")
+	fmt.Println("not wall-clock time; run `go run ./cmd/benchsuite` for the full E1–E16 suite.")
 }

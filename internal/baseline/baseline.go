@@ -6,7 +6,7 @@
 // polylogarithmic with a higher exponent than the paper's algorithms,
 // which is exactly the gap experiment E4 measures.
 //
-// DESIGN.md §3 records this as a faithful-in-spirit reimplementation: the
+// This is a faithful-in-spirit reimplementation, not a port: the
 // original's network-decomposition machinery is replaced by (a) greedy
 // recoloring sweeps that eliminate the easy conflicts and (b) a
 // distance-scheduled sequence of Brooks token walks for the hard ones.

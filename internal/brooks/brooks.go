@@ -36,7 +36,8 @@ const (
 	ModeDCC
 	// ModeFallback: the heuristic DCC search failed and an expanding-ball
 	// exact re-coloring was used instead (possible only because FindDCC is
-	// heuristically incomplete; see DESIGN.md §3).
+	// heuristically incomplete: it tries short cycles, ears and small
+	// blocks, not every DCC of the ball).
 	ModeFallback
 )
 

@@ -47,8 +47,8 @@ func maskGraph(g *graph.G, restrict []bool) *graph.G {
 }
 
 // ListColorMode selects the list-coloring subroutine used when re-coloring
-// layers (Theorem 18's deterministic algorithm vs Theorem 19's randomized
-// one, per our substitutions in DESIGN.md §3).
+// layers (stand-ins for Theorem 18's deterministic algorithm and Theorem
+// 19's randomized one; see the ListColor* primitives in internal/dist).
 type ListColorMode int
 
 const (

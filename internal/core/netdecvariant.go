@@ -13,8 +13,9 @@ import (
 // DeterministicNetDec runs the Theorem 21 algorithm ([PS95, Theorem 5],
 // reproved in the paper via the layering technique):
 //
-//	(1) compute a network decomposition (our LDD substitution for the
-//	    2^O(√log n) deterministic decomposition of [PS92], see DESIGN.md §3);
+//	(1) compute a network decomposition (dist.Decompose's seeded
+//	    Miller–Peng–Xu low-diameter decomposition substitutes for the
+//	    2^O(√log n) deterministic decomposition of [PS92]);
 //	(2) build the base layer B0 as an (R, ·) ruling set computed greedily
 //	    over the decomposition's color classes, R chosen so B0 members'
 //	    Brooks recoloring balls are disjoint;

@@ -27,8 +27,8 @@ type RandOptions struct {
 // large-Δ version (Theorem 3) uses a constant radius r and b = 6, p = Δ^-6;
 // the small-Δ version (Theorem 1) uses r = Θ(log log n) and b = 12 for
 // Δ = 3. p is clamped from below at laptop scale so the marking process
-// fires on feasible n (the paper's asymptotic constants assume enormous n;
-// see DESIGN.md §3).
+// fires on feasible n (the paper's asymptotic constants assume enormous
+// n; at feasible n, p = Δ^-6 would mark almost no node).
 func (o RandOptions) AutoParams(n, delta int) RandOptions {
 	if o.Backoff == 0 {
 		if delta == 3 {

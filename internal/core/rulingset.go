@@ -14,7 +14,8 @@ import (
 //
 // This substitutes for the SEW13-based deterministic ruling sets of
 // Lemma 20 (1)/(2); the (α, β) contract the layering technique needs is
-// identical, with β = (k-1)·log n instead of k²·β' (see DESIGN.md §3).
+// identical, with β = (k-1)·log n instead of k²·β': a simpler recursion
+// for a larger domination distance.
 type DetRulingSet struct {
 	InSet  []bool
 	Alpha  int

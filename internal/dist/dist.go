@@ -16,8 +16,8 @@
 //     (deg+1)-list-coloring of a layer against an already colored partial
 //     assignment — the subroutine the layering technique of Section 3
 //     invokes once per layer, in random-trial and Linial-class-scheduled
-//     deterministic variants (the paper's Theorems 18/19 substitutes,
-//     DESIGN.md §3).
+//     deterministic variants (substitutes for the paper's Theorems 18/19,
+//     which trade its round bounds for simple per-node protocols).
 //   - Decompose / VerifyDecomposition: a Miller–Peng–Xu-style low-diameter
 //     decomposition with exponential random shifts, standing in for the
 //     deterministic network decomposition of [PS92] in the Theorem 21

@@ -93,7 +93,8 @@ func E2LargeDelta(cfg Config) *Table {
 
 // E3Deterministic reproduces Theorem 4: deterministic Δ-coloring in
 // Õ(√Δ·log²n) paper-rounds (O(Δ²·log²n) with this repository's substituted
-// list-coloring subroutine, see DESIGN.md §3). The log²n growth in n is the
+// list-coloring subroutine: Linial-class-scheduled list coloring in place
+// of the paper's Theorem 18 algorithm). The log²n growth in n is the
 // reproducible shape: rounds/log²n should flatten per Δ.
 func E3Deterministic(cfg Config) *Table {
 	cfg.install()

@@ -1,8 +1,7 @@
 // Package exp is the experiment harness: one runner per experiment
-// (E1–E14, DESIGN.md §4 plus the runtime, repair-tail and locality
-// additions), each
-// producing a Table whose rows cmd/benchsuite prints and EXPERIMENTS.md
-// records. bench_test.go wraps the same runners in testing.B benchmarks so
+// (E1–E16: the paper's claims, plus the runtime, repair-tail, locality,
+// tracing-overhead and churn measurements), each producing a Table whose
+// rows cmd/benchsuite prints. bench_test.go wraps the same runners in testing.B benchmarks so
 // `go test -bench=.` regenerates every table.
 package exp
 
@@ -16,8 +15,8 @@ import (
 	"strings"
 )
 
-// Config scales the experiments. The zero value selects the full
-// EXPERIMENTS.md parameters; Quick shrinks every sweep to smoke-test size
+// Config scales the experiments. The zero value selects the full-scale
+// parameters; Quick shrinks every sweep to smoke-test size
 // (used by -short tests and the benchmark harness's inner loop). Strict
 // turns every late dead send — a message staged for a neighbor the sender
 // could already have known was halted (local.LateDeadSends) — into a
