@@ -141,19 +141,17 @@ func colorSmallComponents(g *graph.G, inL []bool, colors []int, delta int, o Ran
 // smallComponentNetLimit caps the graph size for which component
 // discovery runs through the stepped network. The stepped collector costs
 // O(|component|) per-node memory (every member learns its component), so
-// it is reserved for the shattered-small regime the phase targets;
-// anything larger — or a component overrunning the collector's own cap —
-// falls back to the central traversal.
+// it is reserved for the shattered-small regime the phase targets.
 const smallComponentNetLimit = 65536
 
-// componentsOf computes the connected components of the masked L-graph,
-// through the stepped engine by default (the message-passing form the
-// shattering analysis describes) with the central traversal as the
-// ablated and fallback path. Both number components in ascending order of
-// their minimum member, so the choice is observationally invisible; the
-// equivalence suite pins that.
+// componentsOf computes the connected components of the masked L-graph
+// through the stepped engine (the message-passing form the shattering
+// analysis describes). A graph above smallComponentNetLimit, or a
+// component overrunning the collector's own cap, falls back to the
+// central traversal. Both number components in ascending order of their
+// minimum member, so the fallback is observationally invisible.
 func componentsOf(lGraph *graph.G) ([]int, int) {
-	if local.SteppedGatherEnabled() && lGraph.N() <= smallComponentNetLimit {
+	if lGraph.N() <= smallComponentNetLimit {
 		if comp, count, ok := local.CollectComponents(local.NewNetwork(lGraph, 1)); ok {
 			return comp, count
 		}

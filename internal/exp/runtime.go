@@ -27,11 +27,13 @@ import (
 // explicit workers column (rounds/s is always measured single-worker for
 // machine comparability) and the GOMAXPROCS-sweep columns; v3 added the
 // reference-loop score that makes the CI delta gate machine-independent
-// (see ReferenceScore); v4 adds the gather and tiled-delivery workload
-// families, the per-row max message size (from an untimed instrumented
-// re-run), the ns/node-round normalization, and always populates the
-// sweep columns (on a single-CPU host the sweep runs two workers on the
-// one CPU, measuring coordination overhead instead of speedup).
+// (see ReferenceScore); v4 adds the gather workload family, the per-row
+// max message size (from an untimed instrumented re-run), the
+// ns/node-round normalization, and always populates the sweep columns (on
+// a single-CPU host the sweep runs two workers on the one CPU, measuring
+// coordination overhead instead of speedup). Baselines may carry rows of
+// families the sweep no longer runs (rr4-tiled, rr4-gather-blocking);
+// CompareRuntime ignores them.
 const RuntimeSchema = "deltacolor/bench-runtime/v4"
 
 // Older layouts accepted as comparison baselines (PR 2–8 reports).
@@ -163,14 +165,14 @@ type heartbeatState struct {
 	round int
 }
 
-// runtimeCase builds one graph family instance. The gather and tiled
-// families reuse the rr4 expander — the graph with no exploitable label
-// order, where delivery locality and payload shape dominate.
+// runtimeCase builds one graph family instance. The gather family reuses
+// the rr4 expander — the graph with no exploitable label order, where
+// delivery locality and payload shape dominate.
 func runtimeCase(family string, n int, seed int64) *graph.G {
 	switch family {
 	case "path":
 		return gen.Path(n)
-	case "rr4", "rr4-tiled", "rr4-gather", "rr4-gather-blocking":
+	case "rr4", "rr4-gather":
 		return gen.MustRandomRegular(rand.New(rand.NewSource(seed)), n, 4)
 	case "clique":
 		return gen.Complete(n)
@@ -193,19 +195,41 @@ const runtimeGatherRadius = 2
 const runtimeReps = 3
 
 // runRuntimeWorkload executes one family's workload on a prepared
-// network: the int-path heartbeat for the scheduler families, the native
-// stepped gather or its blocking coroutine shim for the gather families.
+// network: the int-path heartbeat for the scheduler families, the stepped
+// ball gather for rr4-gather.
 func runRuntimeWorkload(family string, net *local.Network, rounds int) {
-	switch family {
-	case "rr4-gather":
+	if family == "rr4-gather" {
 		local.GatherStepped(net, runtimeGatherRadius)
-	case "rr4-gather-blocking":
-		net.Run(func(ctx *local.Ctx) {
-			local.GatherBall(ctx, runtimeGatherRadius)
-		})
-	default:
-		local.RunStepped(net, heartbeat(rounds))
+		return
 	}
+	local.RunStepped(net, heartbeat(rounds))
+}
+
+// runtimeSize is one (family, n) case of the E12 sweep.
+type runtimeSize struct {
+	family string
+	n      int
+}
+
+// runtimeCases lists the E12 sweep. The CI delta gate compares a quick
+// run against the checked-in full sweep, and CompareRuntime can only gate
+// (family, n) rows both share, so every quick family keeps at least one n
+// of the full sweep (TestRuntimeQuickFamiliesGated checks this against
+// BENCH_runtime.json).
+func runtimeCases(quick bool) []runtimeSize {
+	var cases []runtimeSize
+	if quick {
+		for _, n := range []int{1_000, 10_000} {
+			cases = append(cases, runtimeSize{"path", n}, runtimeSize{"rr4", n})
+		}
+		cases = append(cases, runtimeSize{"clique", 128}, runtimeSize{"clique", 256})
+		return append(cases, runtimeSize{"rr4-gather", 1_000}, runtimeSize{"rr4-gather", 10_000})
+	}
+	for _, n := range []int{10_000, 100_000, 1_000_000} {
+		cases = append(cases, runtimeSize{"path", n}, runtimeSize{"rr4", n})
+	}
+	cases = append(cases, runtimeSize{"clique", 256}, runtimeSize{"clique", 512}, runtimeSize{"clique", 1024}, runtimeSize{"clique", 2048})
+	return append(cases, runtimeSize{"rr4-gather", 10_000}, runtimeSize{"rr4-gather", 100_000}, runtimeSize{"rr4-gather", 1_000_000})
 }
 
 // RuntimeThroughput measures scheduler throughput across the graph
@@ -214,11 +238,7 @@ func runRuntimeWorkload(family string, net *local.Network, rounds int) {
 // GOMAXPROCS sweep with a worker per CPU (two workers on a single-CPU
 // host, where the column measures coordination overhead). The clique
 // family is capped by edge count (a million-node clique has 5·10¹¹
-// edges), so it scales n where the others scale edges. The
-// rr4-gather-blocking family is capped at n=100k: the coroutine shim
-// parks one goroutine stack per node, and a million suspended stacks
-// measure the allocator, not the scheduler — the cap is deliberate and
-// the README's blocking-vs-stepped table says so.
+// edges), so it scales n where the others scale edges.
 func RuntimeThroughput(cfg Config) *RuntimeReport {
 	cfg.install()
 	rep := &RuntimeReport{
@@ -228,53 +248,26 @@ func RuntimeThroughput(cfg Config) *RuntimeReport {
 		Seed:       cfg.Seed,
 		RefScore:   ReferenceScore(),
 	}
-	type c struct {
-		family string
-		n      int
-	}
-	var cases []c
 	rounds := 16
 	if cfg.Quick {
 		rounds = 8
-		for _, n := range []int{1_000, 10_000} {
-			cases = append(cases, c{"path", n}, c{"rr4", n})
-		}
-		cases = append(cases, c{"clique", 128}, c{"clique", 256})
-		for _, n := range []int{1_000, 10_000} {
-			cases = append(cases, c{"rr4-tiled", n}, c{"rr4-gather", n}, c{"rr4-gather-blocking", n})
-		}
-	} else {
-		for _, n := range []int{10_000, 100_000, 1_000_000} {
-			cases = append(cases, c{"path", n}, c{"rr4", n})
-		}
-		// clique 256 is also a quick-mode case: sharing one n with the
-		// quick sweep lets the CI benchmark-delta gate cover the clique
-		// family (CompareRuntime can only gate common (family, n) rows).
-		cases = append(cases, c{"clique", 256}, c{"clique", 512}, c{"clique", 1024}, c{"clique", 2048})
-		for _, n := range []int{10_000, 100_000, 1_000_000} {
-			cases = append(cases, c{"rr4-tiled", n}, c{"rr4-gather", n})
-		}
-		cases = append(cases, c{"rr4-gather-blocking", 10_000}, c{"rr4-gather-blocking", 100_000})
 	}
 	sweepWorkers := runtime.NumCPU()
 	if sweepWorkers < 2 {
 		sweepWorkers = 2
 	}
-	for _, tc := range cases {
+	for _, tc := range runtimeCases(cfg.Quick) {
 		g := runtimeCase(tc.family, tc.n, cfg.Seed)
 		t0 := time.Now()
 		net := local.NewNetwork(g, cfg.Seed)
 		build := time.Since(t0)
 		net.SetWorkers(1)
-		if tc.family == "rr4-tiled" {
-			net.SetTiledDelivery(true)
-		}
 
 		// Warm-up run: the first run on a fresh network pays cold page
-		// faults, lazy engine-buffer setup (the tile tables in particular)
-		// and branch-predictor training; at quick scale that cold start is
-		// a large fraction of the ~20ms timed window and made the CI delta
-		// gate flake on the smaller families.
+		// faults, lazy engine-buffer setup and branch-predictor training;
+		// at quick scale that cold start is a large fraction of the ~20ms
+		// timed window and made the CI delta gate flake on the smaller
+		// families.
 		runRuntimeWorkload(tc.family, net, rounds)
 		// Collect garbage from the warm-up and earlier cases, then keep the
 		// best of a few reps: the gather families allocate their output
@@ -332,7 +325,7 @@ func RuntimeThroughput(cfg Config) *RuntimeReport {
 func (rep *RuntimeReport) Table() *Table {
 	t := &Table{
 		ID:     "E12",
-		Title:  "Runtime throughput (batched LOCAL round engine: heartbeat, tiled-delivery and ball-gather workloads)",
+		Title:  "Runtime throughput (batched LOCAL round engine: heartbeat and ball-gather workloads)",
 		Header: []string{"family", "n", "edges", "rounds", "build ms", "run ms", "rounds/s (1w)", "ns/node-round", "allocs/round", "max msg B", fmt.Sprintf("rounds/s (%dw)", rep.sweepWorkers())},
 	}
 	for _, r := range rep.Rows {
@@ -344,7 +337,7 @@ func (rep *RuntimeReport) Table() *Table {
 			f2(r.BuildMillis), f2(r.RunMillis), f2(r.RoundsPerSec),
 			f2(r.NsPerNodeRound), fmt.Sprintf("%.0f", r.AllocsPerRound), itoa(r.MaxMsgBytes), mp)
 	}
-	t.AddNote("GOMAXPROCS=%d, quick=%v, reference-loop score %.3g iters/s; rounds/s is the best of %d warmed reps with one worker (host-comparable), the sweep column the best of %d with a worker per CPU (two workers on a single-CPU host, where it measures coordination overhead). max msg B comes from a separate instrumented run. The rr4-gather family runs the native stepped radius-%d gather, rr4-gather-blocking the coroutine shim it retired (capped at n=100k: one parked goroutine stack per node), rr4-tiled the heartbeat under tiled delivery. Network construction is O(n + Σ deg); a round costs O(workers) park/wake transitions and zero allocations on the int path.",
+	t.AddNote("GOMAXPROCS=%d, quick=%v, reference-loop score %.3g iters/s; rounds/s is the best of %d warmed reps with one worker (host-comparable), the sweep column the best of %d with a worker per CPU (two workers on a single-CPU host, where it measures coordination overhead). max msg B comes from a separate instrumented run. The rr4-gather family runs the stepped radius-%d ball gather. Network construction is O(n + Σ deg); a round costs O(workers) park/wake transitions and zero allocations on the int path.",
 		rep.GoMaxProcs, rep.Quick, rep.RefScore, runtimeReps, runtimeReps, runtimeGatherRadius)
 	return t
 }

@@ -2,6 +2,7 @@ package exp
 
 import (
 	"bytes"
+	"os"
 	"testing"
 
 	"deltacolor/local"
@@ -161,5 +162,38 @@ func TestStrictQuickE12AndE11(t *testing.T) {
 	}
 	if tb := E11Congest(cfg); len(tb.Rows) == 0 {
 		t.Fatal("E11 produced no rows")
+	}
+}
+
+// TestRuntimeQuickFamiliesGated keeps the CI delta gate non-vacuous:
+// CompareRuntime silently skips a family with no (family, n) row shared
+// by both reports, so every family of the quick sweep must have a row in
+// the checked-in BENCH_runtime.json at an n the quick sweep also runs.
+func TestRuntimeQuickFamiliesGated(t *testing.T) {
+	f, err := os.Open("../../BENCH_runtime.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	base, err := ReadRuntimeReport(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	baseRows := map[runtimeSize]bool{}
+	for _, r := range base.Rows {
+		baseRows[runtimeSize{r.Family, r.N}] = true
+	}
+	gated := map[string]bool{}
+	families := map[string]bool{}
+	for _, c := range runtimeCases(true) {
+		families[c.family] = true
+		if baseRows[c] {
+			gated[c.family] = true
+		}
+	}
+	for family := range families {
+		if !gated[family] {
+			t.Errorf("quick E12 family %q shares no n with BENCH_runtime.json; the delta gate would skip it", family)
+		}
 	}
 }

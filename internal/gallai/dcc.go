@@ -529,7 +529,7 @@ func withoutNode(nodes []int, v int) []int {
 // DCC's index (-1 when none found).
 //
 // rounds reports the LOCAL cost charged: collecting the radius-2r ball
-// costs 2r rounds (see local.GatherBall). All n searches share one
+// costs 2r rounds (see local.GatherStepped). All n searches share one
 // scratch, so each costs time proportional to the part of the ball it
 // explores, not to n.
 func SelectDCCs(g *graph.G, r int) (dccs [][]int, owner []int, rounds int) {

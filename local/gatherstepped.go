@@ -1,67 +1,23 @@
 package local
 
-import "sync/atomic"
+// This file is ball gathering on the stepped executor: every node floods
+// for t rounds, learning the IDs and adjacency lists of its t-hop ball.
+// A node keeps its knowledge as two growing arrays (discovery-ordered IDs
+// and their adjacency slices) and ships each round's frontier as one
+// packed []int32, so a round touches only compact memory and the payload
+// carries no map or interface headers. The BFS ground-truth property test
+// (gather_bfs_test.go) pins every ball against a central BFS.
 
-// This file is the native stepped form of ball gathering: the same
-// flooding protocol as the blocking GatherBall (gather.go), unrolled at
-// its Next boundaries into a Stepped program with flat per-node state.
-// Instead of a coroutine stack, a map of adjacency lists and a reflective
-// ballMsg per round, a node keeps its knowledge as two growing arrays
-// (discovery-ordered IDs and their adjacency slices) and ships each
-// round's frontier as one packed []int32 — the payload shrinks by the map
-// and interface headers, and a round touches only compact memory. The
-// blocking GatherBall survives as the reference implementation the
-// stepped engine is pinned against (TestGatherSteppedMatchesBlocking and
-// the BFS ground-truth property test run both).
-
-// Ball is the flat form of a gathered radius-t ball: node IDs in
-// discovery order (IDs[0] is the center) with Adj[i] holding the known
-// adjacency of IDs[i] in port order, nil for nodes at distance exactly
-// Radius (known only from their traveling self-reports). Info converts to
-// the map-based BallInfo; consumers on the hot path read the flat form
-// directly and skip the map materialization.
+// Ball is a gathered radius-t ball: node IDs in discovery order (IDs[0]
+// is the center) with Adj[i] holding the known adjacency of IDs[i] in
+// port order, nil for nodes at distance exactly Radius (known only from
+// their traveling self-reports).
 type Ball struct {
 	Center int
 	Radius int
 	IDs    []int32
 	Adj    [][]int32
 }
-
-// Info materializes the BallInfo view of the ball: the exact value the
-// blocking GatherBall returns for the same node and radius (same key set,
-// same adjacency contents and nil-ness).
-func (b *Ball) Info() *BallInfo {
-	adj := make(map[int][]int, len(b.IDs))
-	for i, id := range b.IDs {
-		a := b.Adj[i]
-		if a == nil {
-			adj[int(id)] = nil
-			continue
-		}
-		conv := make([]int, len(a))
-		for j, u := range a {
-			conv[j] = int(u)
-		}
-		adj[int(id)] = conv
-	}
-	return &BallInfo{Center: b.Center, Radius: b.Radius, Adj: adj}
-}
-
-// steppedGatherOff ablates the native stepped gather for callers of
-// GatherBalls (and the internal consumers that dispatch on
-// SteppedGatherEnabled); the zero value means the stepped path is ON.
-var steppedGatherOff atomic.Bool
-
-// SetSteppedGather toggles the native stepped gather path (on by
-// default). The blocking coroutine path (GatherBall under Network.Run) is
-// the compatibility shim GatherBalls falls back to; results are
-// byte-identical either way — the hook exists so the equivalence suite
-// and ablation benchmarks can pin that claim, exactly like SetRelabel and
-// SetIntFastPath.
-func SetSteppedGather(on bool) { steppedGatherOff.Store(!on) }
-
-// SteppedGatherEnabled reports the current package default.
-func SteppedGatherEnabled() bool { return !steppedGatherOff.Load() }
 
 // gatherState is one node's flat gather state. ids/adj grow in discovery
 // order; freshAt[i] is the 1-based round in which entry i last became
@@ -119,9 +75,9 @@ func (s *gatherState) add(id int32, a []int32) int32 {
 }
 
 // learn merges one received record into the state, marking the entry
-// fresh when it is new or upgrades a nil adjacency — the same rule as the
-// blocking merge (gather.go): first sighting wins, a later non-nil
-// adjacency fills in a nil placeholder, anything else is a duplicate.
+// fresh when it is new or upgrades a nil adjacency: first sighting wins, a
+// later non-nil adjacency fills in a nil placeholder, anything else is a
+// duplicate.
 //
 //deltacolor:hotpath
 func (s *gatherState) learn(id int32, a []int32) {
@@ -139,7 +95,7 @@ func (s *gatherState) learn(id int32, a []int32) {
 	}
 }
 
-// gatherProgram is the stepped unrolling of GatherBall's loop. Round 0
+// gatherProgram is the flooding protocol as a stepped program. Round 0
 // (Init) broadcasts the id-only self-intro; step k consumes the round-k
 // arrivals, learns its own adjacency from the port intros when k == 1,
 // rebroadcasts the frontier as one packed []int32, and materializes the
@@ -150,7 +106,7 @@ func gatherProgram(t int) Stepped[gatherState] {
 		Init: func(ctx *Ctx, s *gatherState) bool {
 			if t <= 0 {
 				// Radius 0: the ball is the center alone; its own adjacency
-				// is the empty (non-nil) list, matching the blocking form.
+				// is the empty (non-nil) list.
 				ctx.SetOutput(&Ball{Center: ctx.ID(), Radius: t, IDs: []int32{int32(ctx.ID())}, Adj: [][]int32{{}}})
 				return false
 			}
@@ -158,7 +114,7 @@ func gatherProgram(t int) Stepped[gatherState] {
 			s.adj = append(s.adj, nil)
 			s.freshAt = append(s.freshAt, 0)
 			// "I exist": adjacency is unknown until the port intros arrive.
-			//lint:ignore hotpathalloc gather payloads are variable-length and receivers retain aliases into them, so each round ships a freshly allocated boxed []int32 by design (the blocking shim allocates a map per message instead)
+			//lint:ignore hotpathalloc gather payloads are variable-length and receivers retain aliases into them, so each round ships a freshly allocated boxed []int32 by design
 			ctx.Broadcast([]int32{int32(ctx.ID()), -1})
 			return true
 		},
@@ -168,9 +124,8 @@ func gatherProgram(t int) Stepped[gatherState] {
 			deg := ctx.Degree()
 			if s.round == 1 {
 				// Port intros: learn our own adjacency (port order) and the
-				// neighbors as id-only entries. Entry 0 is the center; its
-				// freshness mirrors the blocking form's fresh[self] update
-				// after round 0.
+				// neighbors as id-only entries. Entry 0 is the center, now
+				// fresh with its full adjacency.
 				my := make([]int32, 0, deg)
 				for p := 0; p < deg; p++ {
 					m, ok := ctx.Recv(p).([]int32)
@@ -234,46 +189,14 @@ func gatherProgram(t int) Stepped[gatherState] {
 	}
 }
 
-// GatherStepped collects the radius-t ball of every node through the
-// engine's native stepped form and returns the flat balls indexed by
-// external node ID. It consumes exactly t rounds (net.Rounds() == t), like
-// the blocking GatherBall it replaces on the hot path.
+// GatherStepped collects the radius-t ball of every node and returns the
+// flat balls indexed by external node ID. It consumes exactly t rounds
+// (net.Rounds() == t).
 func GatherStepped(net *Network, t int) []*Ball {
 	outs := RunStepped(net, gatherProgram(t))
 	balls := make([]*Ball, len(outs))
 	for v, o := range outs {
 		balls[v] = o.(*Ball)
-	}
-	return balls
-}
-
-// GatherBalls collects every node's radius-t ball as BallInfo values,
-// dispatching to the native stepped gather (default) or to the blocking
-// coroutine shim (SetSteppedGather(false)). The two paths return
-// byte-identical balls and consume identical rounds; only the engine form
-// and the wire encoding differ.
-func GatherBalls(net *Network, t int) []*BallInfo {
-	if !SteppedGatherEnabled() {
-		return gatherBallsBlocking(net, t)
-	}
-	flat := GatherStepped(net, t)
-	balls := make([]*BallInfo, len(flat))
-	for v, b := range flat {
-		balls[v] = b.Info()
-	}
-	return balls
-}
-
-// gatherBallsBlocking is the compatibility shim: the pre-port coroutine
-// path, GatherBall under Network.Run. It is kept as the reference
-// implementation the stepped engine is tested against, not as a hot path.
-func gatherBallsBlocking(net *Network, t int) []*BallInfo {
-	outs := net.Run(func(ctx *Ctx) {
-		ctx.SetOutput(GatherBall(ctx, t))
-	})
-	balls := make([]*BallInfo, len(outs))
-	for v, o := range outs {
-		balls[v] = o.(*BallInfo)
 	}
 	return balls
 }

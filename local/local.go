@@ -15,12 +15,11 @@
 // equivalent to a function of the t-hop neighborhood. GatherStepped
 // implements exactly that flooding pattern as a reusable building block on
 // the stepped executor (flat per-round frontiers packed into int32
-// records); GatherBall is the blocking reference implementation the shim
-// and the property tests pin it against, and GatherBalls dispatches
-// between the two via the SetSteppedGather ablation hook. FloodStepped and
-// CollectComponents cover the other ball-collection shapes (TTL
-// reachability floods and small-component discovery) in the same
-// allocation-free style.
+// records), pinned against a central BFS by the property tests.
+// FloodStepped and CollectComponents cover the other ball-collection
+// shapes (TTL reachability floods and small-component discovery) in the
+// same allocation-free style; together the three are the only
+// ball-collection API.
 //
 // # Scheduler architecture
 //
@@ -41,28 +40,22 @@
 //     explicit Init/Step segment functions with its cross-round state in a
 //     flat per-run array. No stacks, no coroutines, no switches — the
 //     executor calls segments directly, so a round touches only the
-//     compact state and message arrays. This is the engine's native form,
-//     and since the gather port it is the only form on the hot path: the
-//     protocols (Linial, color reduction, MIS, list coloring) and every
-//     ball-collection phase (GatherStepped, FloodStepped,
-//     CollectComponents) use it.
+//     compact state and message arrays. This is the engine's native form
+//     and the only form on the hot path: the protocols (Linial, color
+//     reduction, MIS, list coloring) and every ball-collection phase
+//     (GatherStepped, FloodStepped, CollectComponents) use it.
 //   - The blocking form (NodeFunc, Run): the node's segment boundary is
 //     Ctx.Next. Each node runs as a coroutine (iter.Pull) that the workers
 //     resume cooperatively; a resume is a direct coroutine switch and
 //     never goes through the Go scheduler. This is the fully general form
-//     (arbitrary control flow, state on the node's stack) and is kept as a
-//     tested compatibility shim: no pipeline phase requires it anymore,
-//     and the equivalence suites pin it byte-identical to the stepped
-//     ports.
+//     (arbitrary control flow, state on the node's stack) and stays as
+//     the general-purpose API for tests, examples and one-off protocols;
+//     no pipeline phase runs on it.
 //
 // Message delivery never touches per-node scheduling state: ports, reverse
 // ports, payloads, presence maps and receiver flags all live in flat
 // arrays indexed by directed-edge slot, so delivering a round of small
 // messages streams a few compact arrays instead of walking node objects.
-// On graphs whose neighbors are scattered beyond the cache (expanders),
-// SetTiledDelivery switches the int lane to a tiled kernel that buckets
-// each batch's staged messages by receiver range before flushing, turning
-// random-stride stores into two near-sequential passes.
 //
 // # Cache-locality relabeling
 //
@@ -356,14 +349,6 @@ type batch struct {
 	ftDrops, ftDups, ftDelays, ftCrashIn, ftOffline, ftPanics int32
 	pend                                                      []pendingFault
 
-	// Tiled-delivery staging (tile.go), sized by setupTiles and empty when
-	// tiling is off: surviving messages are binned by receiver-slot tile
-	// (counting sort over tileCnt) into the entry arrays, then flushed tile
-	// by tile for receiver-side write locality.
-	entSlot, entU, entVal []int32
-	entMsg                []Message
-	tileCnt               []int32
-
 	_ [64]byte
 }
 
@@ -458,13 +443,6 @@ type Network struct {
 	faultStats FaultStats            // per-run fault counters (coordinator-owned)
 	pendFault  []pendingFault        // delayed/duplicated messages awaiting injection
 	runSeq     int64                 // run sequence number; domain-separates fault hashing across runs
-
-	// Tiled delivery (tile.go): tiledOn is the caller's switch, tiled the
-	// per-run effective state (setup sizes the per-batch tile staging when
-	// it is set), tileCount the number of receiver-slot tiles.
-	tiledOn   bool
-	tiled     bool
-	tileCount int
 
 	// Churn (churn.go): set by the mutation API; setup consolidates the
 	// flat edge tables before the next run.
@@ -875,10 +853,6 @@ func (net *Network) setup(inputs []any) {
 			b.live[v-lo] = int32(v)
 		}
 	}
-	net.tiled = net.tiledOn
-	if net.tiled {
-		net.setupTiles(bs)
-	}
 }
 
 // defaultBatchSize balances per-batch bookkeeping against load-balancing
@@ -1126,10 +1100,6 @@ func (net *Network) doBatch(ph int, b *batch) {
 	} else {
 		if net.fault != nil {
 			net.deliverBatchFaulty(b)
-			return
-		}
-		if net.tiled {
-			net.deliverBatchTiled(b)
 			return
 		}
 		net.deliverBatch(b)

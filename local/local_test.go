@@ -195,22 +195,23 @@ func TestStaggeredHalts(t *testing.T) {
 func TestGatherBall(t *testing.T) {
 	g := cycleGraph(10)
 	net := NewNetwork(g, 1)
-	outs := net.Run(func(ctx *Ctx) {
-		b := GatherBall(ctx, 3)
-		ctx.SetOutput(b)
-	})
+	balls := GatherStepped(net, 3)
 	if net.Rounds() != 3 {
 		t.Fatalf("rounds=%d", net.Rounds())
 	}
-	b0 := outs[0].(*BallInfo)
+	b0 := balls[0]
 	// Existence known for distance <= 3: nodes 7,8,9,0,1,2,3 on C10.
-	if len(b0.Adj) != 7 {
-		t.Fatalf("node 0 knows %d nodes, want 7", len(b0.Adj))
+	if len(b0.IDs) != 7 {
+		t.Fatalf("node 0 knows %d nodes, want 7", len(b0.IDs))
 	}
-	// Adjacency complete for distance <= 2.
-	for _, u := range []int{8, 9, 0, 1, 2} {
-		if len(b0.Adj[u]) != 2 {
-			t.Fatalf("adjacency of %d incomplete: %v", u, b0.Adj[u])
+	// Adjacency complete for distance <= 2, absent at distance 3.
+	for i, id := range b0.IDs {
+		want := 2
+		if id == 7 || id == 3 {
+			want = 0
+		}
+		if len(b0.Adj[i]) != want {
+			t.Fatalf("adjacency of %d = %v, want %d entries", id, b0.Adj[i], want)
 		}
 	}
 }

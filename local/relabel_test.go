@@ -167,34 +167,33 @@ func TestRelabelInvariance(t *testing.T) {
 // external adjacency regardless of relabeling.
 func TestRelabelGatherBall(t *testing.T) {
 	g := scrambledGraph(80, 5)
-	collect := func() []any {
-		net := NewNetwork(g, 1)
-		return net.Run(func(ctx *Ctx) {
-			ctx.SetOutput(GatherBall(ctx, 2))
-		})
+	collect := func() []*Ball {
+		return GatherStepped(NewNetwork(g, 1), 2)
 	}
-	var on, off []any
+	var on, off []*Ball
 	withRelabel(true, func() { on = collect() })
 	withRelabel(false, func() { off = collect() })
 	for v := range on {
-		bOn, bOff := on[v].(*BallInfo), off[v].(*BallInfo)
+		bOn, bOff := on[v], off[v]
 		if bOn.Center != v {
 			t.Fatalf("ball center %d at external index %d", bOn.Center, v)
 		}
+		// Flat balls compare in discovery order too, not just as sets.
 		if !reflect.DeepEqual(bOn, bOff) {
 			t.Fatalf("node %d: relabeled ball differs from ablated ball", v)
 		}
 		// Every adjacency the ball reports must match the external graph.
-		for id, adj := range bOn.Adj {
+		for i, adj := range bOn.Adj {
 			if adj == nil {
 				continue
 			}
+			id := int(bOn.IDs[i])
 			if len(adj) != g.Deg(id) {
 				t.Fatalf("ball of %d: node %d adjacency has %d entries, want %d", v, id, len(adj), g.Deg(id))
 			}
-			for i, u := range adj {
-				if g.Neighbors(id)[i] != u {
-					t.Fatalf("ball of %d: node %d adjacency[%d] = %d, want %d", v, id, i, u, g.Neighbors(id)[i])
+			for j, u := range adj {
+				if g.Neighbors(id)[j] != int(u) {
+					t.Fatalf("ball of %d: node %d adjacency[%d] = %d, want %d", v, id, j, u, g.Neighbors(id)[j])
 				}
 			}
 		}
