@@ -35,19 +35,21 @@ func TestGatherBallMatchesBFS(t *testing.T) {
 			return g
 		}(), 7},
 	}
-	for _, tc := range cases {
-		for _, radius := range []int{0, 1, 2, 3, 4} {
-			net := NewNetwork(tc.g, tc.seed)
-			net.setShards(4)
-			balls := GatherStepped(net, radius)
-			if net.Rounds() != radius {
-				t.Fatalf("%s t=%d: rounds=%d", tc.name, radius, net.Rounds())
-			}
-			for v := 0; v < tc.g.N(); v++ {
-				assertBallMatchesBFS(t, tc.g, v, radius, balls[v])
+	t.Run("stepped", func(t *testing.T) {
+		for _, tc := range cases {
+			for _, radius := range []int{0, 1, 2, 3, 4} {
+				net := NewNetwork(tc.g, tc.seed)
+				net.setShards(4)
+				balls := GatherStepped(net, radius)
+				if net.Rounds() != radius {
+					t.Fatalf("%s t=%d: rounds=%d", tc.name, radius, net.Rounds())
+				}
+				for v := 0; v < tc.g.N(); v++ {
+					assertBallMatchesBFS(t, tc.g, v, radius, balls[v])
+				}
 			}
 		}
-	}
+	})
 }
 
 func assertBallMatchesBFS(t *testing.T, g *graph.G, v, radius int, ball *Ball) {

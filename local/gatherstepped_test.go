@@ -1,12 +1,131 @@
 package local
 
 import (
+	"maps"
 	"reflect"
 	"runtime/debug"
+	"slices"
 	"testing"
 
 	"deltacolor/graph"
 )
+
+// blockingFloodMsg carries newly learned (node, adjacency) pairs of
+// blockingFlood.
+type blockingFloodMsg struct {
+	adj map[int][]int
+}
+
+// blockingFlood is an independent reference for GatherStepped: the same
+// t-round flood written as a blocking per-node program on Network.Run,
+// keeping its knowledge in a map from node ID to adjacency (nil for a node
+// known only from its self-report).
+func blockingFlood(ctx *Ctx, t int) map[int][]int {
+	known := map[int][]int{}
+	fresh := map[int][]int{ctx.ID(): nil}
+	myAdj := make([]int, 0, ctx.Degree())
+	for round := 0; round < t; round++ {
+		// Send everything learned last round (plus self-intro in round 0).
+		msg := blockingFloodMsg{adj: map[int][]int{}}
+		if round == 0 {
+			msg.adj[ctx.ID()] = nil
+		} else {
+			for id, a := range fresh {
+				msg.adj[id] = a
+			}
+		}
+		ctx.Broadcast(msg)
+		ctx.Next()
+		fresh = map[int][]int{}
+		for p := 0; p < ctx.Degree(); p++ {
+			m, ok := ctx.Recv(p).(blockingFloodMsg)
+			if !ok {
+				continue
+			}
+			for _, id := range slices.Sorted(maps.Keys(m.adj)) {
+				a := m.adj[id]
+				if round == 0 {
+					// Port p's self-intro: learn the neighbor's ID.
+					myAdj = append(myAdj, id)
+				}
+				if _, seen := known[id]; !seen || known[id] == nil && a != nil {
+					known[id] = a
+					fresh[id] = a
+				}
+			}
+		}
+		if round == 0 {
+			known[ctx.ID()] = myAdj
+			fresh[ctx.ID()] = myAdj
+		}
+	}
+	known[ctx.ID()] = myAdj
+	return known
+}
+
+// ballAdjMap is b's adjacency keyed by node ID, in blockingFlood's form.
+func ballAdjMap(b *Ball) map[int][]int {
+	adj := make(map[int][]int, len(b.IDs))
+	for i, id := range b.IDs {
+		a := b.Adj[i]
+		if a == nil {
+			adj[int(id)] = nil
+			continue
+		}
+		conv := make([]int, len(a))
+		for j, u := range a {
+			conv[j] = int(u)
+		}
+		adj[int(id)] = conv
+	}
+	return adj
+}
+
+// TestGatherSteppedMatchesBlocking pins the stepped gather against the
+// blocking reference flood: for every node, the gathered knowledge must
+// be deeply equal (same node sets, same adjacency contents, same
+// nil-vs-empty distinction) and the two runs must consume identical
+// rounds.
+func TestGatherSteppedMatchesBlocking(t *testing.T) {
+	graphs := []struct {
+		name string
+		g    *graph.G
+	}{
+		{"path-17", pathGraph(17)},
+		{"cycle-24", cycleGraph(24)},
+		{"rand-50", randomGraph(50, 0.1, 7)},
+		{"rand-dense-30", randomGraph(30, 0.4, 8)},
+		{"isolated", func() *graph.G {
+			g := graph.New(12)
+			g.MustEdge(0, 1)
+			g.MustEdge(1, 2)
+			g.MustEdge(4, 5)
+			return g
+		}()},
+	}
+	for _, tc := range graphs {
+		for _, radius := range []int{0, 1, 2, 3, 4} {
+			bnet := NewNetwork(tc.g, 1)
+			want := bnet.Run(func(ctx *Ctx) { ctx.SetOutput(blockingFlood(ctx, radius)) })
+			wantRounds := bnet.Rounds()
+
+			snet := NewNetwork(tc.g, 1)
+			flat := GatherStepped(snet, radius)
+			if snet.Rounds() != wantRounds {
+				t.Fatalf("%s t=%d: stepped rounds=%d, blocking=%d", tc.name, radius, snet.Rounds(), wantRounds)
+			}
+			for v := range flat {
+				if flat[v].Center != v || flat[v].Radius != radius {
+					t.Fatalf("%s t=%d node %d: center/radius = %d/%d", tc.name, radius, v, flat[v].Center, flat[v].Radius)
+				}
+				got := ballAdjMap(flat[v])
+				if !reflect.DeepEqual(got, want[v]) {
+					t.Fatalf("%s t=%d node %d:\nstepped  %+v\nblocking %+v", tc.name, radius, v, got, want[v])
+				}
+			}
+		}
+	}
+}
 
 // TestGatherSteppedMessageStats pins the packed wire format: a radius-3
 // gather on a fixed random graph ships an exact message count and exact
