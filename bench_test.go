@@ -146,7 +146,7 @@ func BenchmarkQuotientNetworkFromPorts(b *testing.B) {
 	g, groups := quotientBenchInstance()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if net := local.QuotientNetwork(g, groups, 1); net.Graph().N() != len(groups) {
+		if net := local.QuotientNetwork(g, groups, 1, local.Config{}); net.Graph().N() != len(groups) {
 			b.Fatal("bad quotient")
 		}
 	}

@@ -109,9 +109,12 @@ type Result struct {
 
 	// Span is the run's nested timeline (pipeline → phase → primitive),
 	// collected only when a tracer is installed process-wide with
-	// local.SetDefaultTracer before the Color call; nil otherwise. Export
-	// it with local.WriteChromeTrace / local.WriteTraceJSONL via
-	// Tracer.Dump.
+	// local.SetDefaultTracer before the call; nil otherwise. From
+	// ColorUnderFaults it covers the pipeline run under the plan, not the
+	// repair pass. The tracer is shared by every network built while it
+	// is installed, so trace one call at a time: concurrent calls would
+	// mix their message counts. Export it with local.WriteChromeTrace /
+	// local.WriteTraceJSONL via Tracer.Dump.
 	Span *local.Span
 }
 
@@ -197,6 +200,12 @@ func Color(g *graph.G, opts Options) (*Result, error) {
 	if err := opts.validate(); err != nil {
 		return nil, err
 	}
+	return color(g, opts, local.Config{})
+}
+
+// color runs the selected pipeline on validated options, building every
+// network of the run with cfg.
+func color(g *graph.G, opts Options, cfg local.Config) (*Result, error) {
 	alg := opts.Algorithm
 	if alg == 0 {
 		alg = AlgAuto
@@ -216,25 +225,26 @@ func Color(g *graph.G, opts Options) (*Result, error) {
 			Backoff:  opts.Backoff,
 			P:        opts.P,
 			ListMode: mode,
+			Net:      cfg,
 		})
 		if err != nil {
 			return nil, err
 		}
 		return fromCore(res, AlgRandomized), nil
 	case AlgDeterministic:
-		res, err := core.Deterministic(g, opts.Seed)
+		res, err := core.Deterministic(g, opts.Seed, cfg)
 		if err != nil {
 			return nil, err
 		}
 		return fromCore(res, AlgDeterministic), nil
 	case AlgNetDec:
-		res, err := core.DeterministicNetDec(g, opts.Seed)
+		res, err := core.DeterministicNetDec(g, opts.Seed, cfg)
 		if err != nil {
 			return nil, err
 		}
 		return fromCore(res, AlgNetDec), nil
 	case AlgBaseline:
-		res, err := baseline.Color(g, opts.Seed)
+		res, err := baseline.Color(g, opts.Seed, cfg)
 		if err != nil {
 			return nil, err
 		}

@@ -13,11 +13,13 @@ import (
 	"testing"
 
 	"deltacolor"
+	"deltacolor/graph"
 	"deltacolor/graph/gen"
 	"deltacolor/local"
 )
 
-func TestFaultRunDeterminismGolden(t *testing.T) {
+// faultGoldenRun returns the pinned fault run's graph, options and plan.
+func faultGoldenRun() (*graph.G, deltacolor.Options, *local.FaultPlan) {
 	g := gen.MustRandomRegular(rand.New(rand.NewSource(17)), 256, 4)
 	opts := deltacolor.Options{Algorithm: deltacolor.AlgRandomized, Seed: 17}
 	plan := &local.FaultPlan{
@@ -27,36 +29,47 @@ func TestFaultRunDeterminismGolden(t *testing.T) {
 		Crashes:    []local.CrashWindow{{Node: 7, From: 3, To: 9}, {Node: 200, From: 5, To: 6}},
 		RoundLimit: 50_000,
 	}
-	res, stats, err := deltacolor.ColorUnderFaults(g, opts, plan)
+	return g, opts, plan
+}
+
+// Captured from the first implementation of the fault layer. The
+// drops/delays land inside the DCC and color-trial phases and the
+// Brooks safety net absorbs the damage — note the repair bill (six
+// batches, ~12k scheduling rounds) versus 234 rounds for the same
+// seed fault-free: the faults are real, and the net still converges
+// to a verified coloring with zero residual conflicts.
+const (
+	faultGoldenColors = uint64(0x7fac2bc91b1c7fa4)
+	faultGoldenRounds = 12551
+	faultGoldenPhases = "dcc-select:12;dcc-ruling-set:143;dcc-layers:26;marking:8;happy-layers:18;B[3]:3;B[2]:128;B[1]:134;B0-bruteforce:9;repair-sched[0]:9035;repair-batch[0]:1;repair-sched[1]:156;repair-batch[1]:1;repair-sched[2]:1443;repair-batch[2]:14;repair-sched[3]:1339;repair-batch[3]:1;repair-sched[4]:52;repair-batch[4]:14;repair-batch[5]:14;"
+)
+
+// checkFaultGolden reports every way a fault run's outcome differs from
+// the pinned golden.
+func checkFaultGolden(t *testing.T, res *deltacolor.Result, stats *deltacolor.RecolorStats, err error) {
+	t.Helper()
 	if err != nil {
-		t.Fatal(err)
+		t.Error(err)
+		return
 	}
+	if got := hashColors(res.Colors); got != faultGoldenColors {
+		t.Errorf("colors hash = %#x, want %#x", got, faultGoldenColors)
+	}
+	if res.Rounds != faultGoldenRounds {
+		t.Errorf("rounds = %d, want %d", res.Rounds, faultGoldenRounds)
+	}
+	if got := phaseString(res.Phases); got != faultGoldenPhases {
+		t.Errorf("phases = %q, want %q", got, faultGoldenPhases)
+	}
+	if want := (deltacolor.RecolorStats{}); *stats != want {
+		t.Errorf("repair stats = %+v, want %+v", *stats, want)
+	}
+}
 
-	// Captured from the first implementation of the fault layer. The
-	// drops/delays land inside the DCC and color-trial phases and the
-	// Brooks safety net absorbs the damage — note the repair bill (six
-	// batches, ~12k scheduling rounds) versus 234 rounds for the same
-	// seed fault-free: the faults are real, and the net still converges
-	// to a verified coloring with zero residual conflicts.
-	const (
-		wantColors = uint64(0x7fac2bc91b1c7fa4)
-		wantRounds = 12551
-		wantPhases = "dcc-select:12;dcc-ruling-set:143;dcc-layers:26;marking:8;happy-layers:18;B[3]:3;B[2]:128;B[1]:134;B0-bruteforce:9;repair-sched[0]:9035;repair-batch[0]:1;repair-sched[1]:156;repair-batch[1]:1;repair-sched[2]:1443;repair-batch[2]:14;repair-sched[3]:1339;repair-batch[3]:1;repair-sched[4]:52;repair-batch[4]:14;repair-batch[5]:14;"
-	)
-	wantStats := deltacolor.RecolorStats{}
-
-	if got := hashColors(res.Colors); got != wantColors {
-		t.Errorf("colors hash = %#x, want %#x", got, wantColors)
-	}
-	if res.Rounds != wantRounds {
-		t.Errorf("rounds = %d, want %d", res.Rounds, wantRounds)
-	}
-	if got := phaseString(res.Phases); got != wantPhases {
-		t.Errorf("phases = %q, want %q", got, wantPhases)
-	}
-	if *stats != wantStats {
-		t.Errorf("repair stats = %+v, want %+v", *stats, wantStats)
-	}
+func TestFaultRunDeterminismGolden(t *testing.T) {
+	g, opts, plan := faultGoldenRun()
+	res, stats, err := deltacolor.ColorUnderFaults(g, opts, plan)
+	checkFaultGolden(t, res, stats, err)
 }
 
 // TestChurnRecolorDeterminismGolden pins a scripted mutation stream on a

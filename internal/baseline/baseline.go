@@ -47,7 +47,9 @@ type Result struct {
 //	(3) the remaining "rainbow" nodes are uncolored and repaired with
 //	    Brooks token walks, scheduled by a distance coloring of their
 //	    interaction graph so non-interacting walks run in parallel.
-func Color(g *graph.G, seed int64) (*Result, error) {
+//
+// Every network the run builds is made with cfg.
+func Color(g *graph.G, seed int64, cfg local.Config) (*Result, error) {
 	delta := g.MaxDegree()
 	if delta < 3 {
 		return nil, fmt.Errorf("baseline: Δ=%d < 3", delta)
@@ -58,10 +60,10 @@ func Color(g *graph.G, seed int64) (*Result, error) {
 	}
 	n := g.N()
 
-	net := local.NewNetwork(g, seed)
+	net := cfg.NewNetwork(g, seed)
 	base, k, r1 := dist.Linial(net)
 	acct.Charge("linial", r1)
-	net2 := local.NewNetwork(g, seed+1)
+	net2 := cfg.NewNetwork(g, seed+1)
 	colors, r2, err := dist.ReduceColors(net2, base, k, delta+1)
 	if err != nil {
 		return nil, fmt.Errorf("baseline: %w", err)
@@ -109,7 +111,7 @@ func Color(g *graph.G, seed int64) (*Result, error) {
 	var rres *brooks.BatchResult
 	if len(stuck) > 0 {
 		var err error
-		rres, err = brooks.RepairHoles(g, colors, stuck, delta, seed+2)
+		rres, err = brooks.RepairHolesWith(g, colors, stuck, delta, seed+2, cfg)
 		if err != nil {
 			return nil, fmt.Errorf("baseline: token walks: %w", err)
 		}

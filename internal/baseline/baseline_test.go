@@ -7,6 +7,7 @@ import (
 
 	"deltacolor/graph"
 	"deltacolor/graph/gen"
+	"deltacolor/local"
 	"deltacolor/verify"
 )
 
@@ -40,7 +41,7 @@ func TestBaselineOnFamilies(t *testing.T) {
 	}
 	for _, tc := range families {
 		t.Run(tc.name, func(t *testing.T) {
-			res, err := Color(tc.g, 1)
+			res, err := Color(tc.g, 1, local.Config{})
 			if err != nil {
 				t.Fatalf("baseline: %v", err)
 			}
@@ -53,7 +54,7 @@ func TestBaselineManySeeds(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	g := gen.MustRandomRegular(rng, 200, 5)
 	for seed := int64(0); seed < 6; seed++ {
-		res, err := Color(g, seed)
+		res, err := Color(g, seed, local.Config{})
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -62,10 +63,10 @@ func TestBaselineManySeeds(t *testing.T) {
 }
 
 func TestBaselineRejectsLowDegree(t *testing.T) {
-	if _, err := Color(gen.Cycle(8), 1); err == nil {
+	if _, err := Color(gen.Cycle(8), 1, local.Config{}); err == nil {
 		t.Fatal("C8 (Δ=2) accepted, want error")
 	}
-	if _, err := Color(gen.Path(5), 1); err == nil {
+	if _, err := Color(gen.Path(5), 1, local.Config{}); err == nil {
 		t.Fatal("P5 accepted, want error")
 	}
 }
@@ -73,7 +74,7 @@ func TestBaselineRejectsLowDegree(t *testing.T) {
 func TestBaselinePhaseAccounting(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	g := gen.MustRandomRegular(rng, 128, 4)
-	res, err := Color(g, 2)
+	res, err := Color(g, 2, local.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +100,7 @@ func TestBaselineRepairBatchStats(t *testing.T) {
 	// breakdown must carry a token-batch entry per batch.
 	for seed := int64(0); seed < 8; seed++ {
 		g := gen.MustRandomRegular(rand.New(rand.NewSource(seed)), 96, 4)
-		res, err := Color(g, seed)
+		res, err := Color(g, seed, local.Config{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -131,7 +132,7 @@ func TestBaselineStuckCountConsistent(t *testing.T) {
 	// valid. This is a smoke invariant across several structured inputs.
 	inputs := []*graph.G{gen.Torus(6, 6), gen.Hypercube(5), gen.CompleteBipartite(6, 6)}
 	for _, g := range inputs {
-		res, err := Color(g, 7)
+		res, err := Color(g, 7, local.Config{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -96,28 +96,34 @@ func (r *BatchResult) BatchRounds() []int {
 }
 
 // Repair completes every uncolored node of g with batched Brooks repairs,
-// mutating colors in place. See RepairHoles.
-func Repair(g *graph.G, colors []int, delta int, seed int64) (*BatchResult, error) {
+// mutating colors in place. See RepairHolesWith.
+func Repair(g *graph.G, colors []int, delta int, seed int64, cfg local.Config) (*BatchResult, error) {
 	var holes []int
 	for v := 0; v < g.N(); v++ {
 		if colors[v] < 0 {
 			holes = append(holes, v)
 		}
 	}
-	return RepairHoles(g, colors, holes, delta, seed)
+	return RepairHolesWith(g, colors, holes, delta, seed, cfg)
 }
 
-// RepairHoles completes the given uncolored nodes (already-colored entries
-// are skipped, as a concurrent repair may fill a hole as a side effect),
-// mutating colors in place. The partial coloring must be proper; other
+// RepairHoles is RepairHolesWith on fault-free networks (the zero
+// local.Config).
+func RepairHoles(g *graph.G, colors []int, holes []int, delta int, seed int64) (*BatchResult, error) {
+	return RepairHolesWith(g, colors, holes, delta, seed, local.Config{})
+}
+
+// RepairHolesWith completes the given uncolored nodes (already-colored
+// entries are skipped, as a concurrent repair may fill a hole as a side
+// effect), mutating colors in place. The partial coloring must be proper; other
 // holes — even ones adjacent to each other — are permitted everywhere, per
 // FixOne's multi-hole semantics. Each iteration runs every remaining hole's
 // token procedure against the current colors, schedules a maximal
 // independent set of non-conflicting repair balls via LubyMIS on their
 // quotient network, applies that batch (charged max rounds + scheduling),
 // and repeats; the seed drives only the MIS lotteries, so runs are
-// deterministic.
-func RepairHoles(g *graph.G, colors []int, holes []int, delta int, seed int64) (*BatchResult, error) {
+// deterministic. Every scheduling network is built with cfg.
+func RepairHolesWith(g *graph.G, colors []int, holes []int, delta int, seed int64, cfg local.Config) (*BatchResult, error) {
 	res := &BatchResult{}
 	remaining := dedupeHoles(g, colors, holes)
 	// The quotient builder is shared across iterations so the O(n) owner
@@ -170,7 +176,7 @@ func RepairHoles(g *graph.G, colors []int, holes []int, delta int, seed int64) (
 			chosen[0] = true
 		} else {
 			if qb == nil {
-				qb = local.NewQuotientBuilder(g)
+				qb = local.NewQuotientBuilder(g, cfg)
 			}
 			qnet := qb.Build(balls, seed+int64(iter)*1_000_003)
 			inMIS, misRounds := dist.LubyMIS(qnet, nil)

@@ -7,6 +7,7 @@ import (
 
 	"deltacolor/graph"
 	"deltacolor/graph/gen"
+	"deltacolor/local"
 	"deltacolor/verify"
 )
 
@@ -163,7 +164,7 @@ func TestRepairBatchedVsSummedAccounting(t *testing.T) {
 	seq := append([]int(nil), colors...)
 	summed := repairSequential(t, g, seq, delta)
 
-	res, err := Repair(g, colors, delta, 7)
+	res, err := Repair(g, colors, delta, 7, local.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +208,7 @@ func TestRepairAdjacentHolesBatches(t *testing.T) {
 			holes += 2
 		}
 	}
-	res, err := Repair(g, colors, delta, 3)
+	res, err := Repair(g, colors, delta, 3, local.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,7 +242,7 @@ func TestRepairChangedMirror(t *testing.T) {
 	}
 	mirror := append([]int(nil), colors...)
 
-	res, err := Repair(g, colors, 4, 11)
+	res, err := Repair(g, colors, 4, 11, local.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -274,7 +275,7 @@ func TestRepairHolesSkipsColoredAndDedupes(t *testing.T) {
 		t.Fatal(err)
 	}
 	// No holes at all: a no-op result.
-	res2, err := Repair(g, colors, 4, 1)
+	res2, err := Repair(g, colors, 4, 1, local.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -297,7 +298,7 @@ func TestRepairSingleHoleNoScheduling(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Repair(g, colors, 4, 77)
+	res, err := Repair(g, colors, 4, 77, local.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -335,7 +336,7 @@ func TestRepairProperty(t *testing.T) {
 		}
 		again := append([]int(nil), colors...)
 
-		res, err := Repair(g, colors, d, seed)
+		res, err := Repair(g, colors, d, seed, local.Config{})
 		if err != nil {
 			return false
 		}
@@ -343,7 +344,7 @@ func TestRepairProperty(t *testing.T) {
 			return false
 		}
 		// Determinism: same seed, same input, same everything.
-		res2, err := Repair(g, again, d, seed)
+		res2, err := Repair(g, again, d, seed, local.Config{})
 		if err != nil {
 			return false
 		}

@@ -273,7 +273,7 @@ func TestDeterministicOnFamilies(t *testing.T) {
 	}
 	for _, tc := range families {
 		t.Run(tc.name, func(t *testing.T) {
-			res, err := Deterministic(tc.g, 1)
+			res, err := Deterministic(tc.g, 1, local.Config{})
 			if err != nil {
 				t.Fatalf("Deterministic: %v", err)
 			}
@@ -285,11 +285,11 @@ func TestDeterministicOnFamilies(t *testing.T) {
 func TestDeterministicIsDeterministic(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	g := gen.MustRandomRegular(rng, 128, 4)
-	res1, err := Deterministic(g, 7)
+	res1, err := Deterministic(g, 7, local.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res2, err := Deterministic(g, 7)
+	res2, err := Deterministic(g, 7, local.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -356,7 +356,7 @@ func TestRepairUncolored(t *testing.T) {
 		erased++
 	}
 	acct := &local.Accountant{}
-	rres, err := RepairUncolored(g, colors, delta, 17, acct)
+	rres, err := RepairUncolored(g, colors, delta, 17, acct, local.Config{})
 	if err != nil {
 		t.Fatalf("RepairUncolored: %v", err)
 	}
@@ -383,7 +383,7 @@ func TestLayerColorerReverseOrder(t *testing.T) {
 	g := gen.Torus(6, 6)
 	delta := g.MaxDegree()
 	acct := &local.Accountant{}
-	lc := NewLayerColorer(g, delta, ListColorRandomized, 3, acct)
+	lc := NewLayerColorer(g, delta, ListColorRandomized, 3, acct, local.Config{})
 
 	// Layer by distance from node 0; layer 0 = {0}.
 	layer := Layering(g, []int{0}, nil)
@@ -499,7 +499,7 @@ func TestSmallComponentsOverlappingAnchors(t *testing.T) {
 	g, inL, colors := diamondWithTail()
 	delta := 3
 	acct := &local.Accountant{}
-	lc := NewLayerColorer(g, delta, ListColorRandomized, 7, acct)
+	lc := NewLayerColorer(g, delta, ListColorRandomized, 7, acct, local.Config{})
 	deferred, err := colorSmallComponents(g, inL, colors, delta, RandOptions{Seed: 7}.AutoParams(g.N(), delta), lc, acct)
 	if err != nil {
 		t.Fatal(err)

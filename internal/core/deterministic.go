@@ -103,7 +103,8 @@ func (r *Result) addRepairStats(res *brooks.BatchResult) {
 // Round complexity with our substitutions: O(Δ²·log²n) — the paper's
 // O(√Δ log^1.5Δ · log²n) with the Δ-dependence of our simpler list-coloring
 // subroutine; the log²n growth in n is the quantity experiment E3 checks.
-func Deterministic(g *graph.G, seed int64) (*Result, error) {
+// Every network the run builds is made with cfg.
+func Deterministic(g *graph.G, seed int64, cfg local.Config) (*Result, error) {
 	delta, err := CheckNice(g, 3)
 	if err != nil {
 		return nil, err
@@ -127,6 +128,14 @@ func Deterministic(g *graph.G, seed int64) (*Result, error) {
 			base = append(base, v)
 		}
 	}
+	layer, s := peelLayers(g, base, acct)
+	acct.End()
+	return colorFromBase(g, delta, base, layer, s, seed, cfg, acct, "deterministic")
+}
+
+// peelLayers assigns the layers B_1..B_s by distance to the base layer
+// and charges their depth s as "layering".
+func peelLayers(g *graph.G, base []int, acct *local.Accountant) ([]int, int) {
 	layer := Layering(g, base, nil)
 	s := 0
 	for _, l := range layer {
@@ -135,13 +144,20 @@ func Deterministic(g *graph.G, seed int64) (*Result, error) {
 		}
 	}
 	acct.Charge("layering", s)
-	acct.End()
+	return layer, s
+}
 
-	colors := make([]int, n)
+// colorFromBase is the tail both deterministic pipelines share once the
+// base layer B0 and its layers are known: re-color layers B_s..B_1 in
+// reverse with the deterministic list-coloring subroutine, color B0 via
+// Theorem 5, run the Brooks safety net and verify. prefix labels the
+// errors.
+func colorFromBase(g *graph.G, delta int, base, layer []int, s int, seed int64, cfg local.Config, acct *local.Accountant, prefix string) (*Result, error) {
+	colors := make([]int, g.N())
 	for v := range colors {
 		colors[v] = -1
 	}
-	lc := NewLayerColorer(g, delta, ListColorDeterministic, seed, acct)
+	lc := NewLayerColorer(g, delta, ListColorDeterministic, seed, acct, cfg)
 	repairs, err := lc.ColorLayersReverse(colors, layer, s, "layers")
 	if err != nil {
 		return nil, err
@@ -149,23 +165,22 @@ func Deterministic(g *graph.G, seed int64) (*Result, error) {
 
 	// Color B0 via Theorem 5 through the batch engine: the ruling-set
 	// spacing guarantees disjoint recoloring balls, so the engine schedules
-	// every B0 repair into one batch charged max rounds — the same
-	// accounting the old hand-rolled loop used, now with the independence
-	// verified instead of assumed.
-	b0res, err := brooks.RepairHoles(g, colors, base, delta, seed+0xb0)
+	// every B0 repair into one batch charged max rounds, with the
+	// independence verified instead of assumed.
+	b0res, err := brooks.RepairHolesWith(g, colors, base, delta, seed+0xb0, cfg)
 	if err != nil {
-		return nil, fmt.Errorf("deterministic: color B0: %w", err)
+		return nil, fmt.Errorf("%s: color B0: %w", prefix, err)
 	}
 	chargeRepairBatches(acct, "brooks-B0", b0res)
 
-	rres, err := RepairUncolored(g, colors, delta, seed+0x4e9, acct)
+	rres, err := RepairUncolored(g, colors, delta, seed+0x4e9, acct, cfg)
 	if err != nil {
-		return nil, fmt.Errorf("deterministic: %w", err)
+		return nil, fmt.Errorf("%s: %w", prefix, err)
 	}
 	repairs += rres.Fixed
 
 	if err := dist.VerifyColoring(g, colors); err != nil {
-		return nil, fmt.Errorf("deterministic: %w", err)
+		return nil, fmt.Errorf("%s: %w", prefix, err)
 	}
 	out := &Result{
 		Colors:  colors,

@@ -75,10 +75,11 @@ type LayerColorer struct {
 }
 
 // NewLayerColorer prepares a colorer. In deterministic mode it computes a
-// Linial base coloring up front (charged to the accountant once).
-func NewLayerColorer(g *graph.G, delta int, mode ListColorMode, seed int64, acct *local.Accountant) *LayerColorer {
+// Linial base coloring up front (charged to the accountant once). The
+// shared network is built with cfg.
+func NewLayerColorer(g *graph.G, delta int, mode ListColorMode, seed int64, acct *local.Accountant, cfg local.Config) *LayerColorer {
 	lc := &LayerColorer{g: g, delta: delta, mode: mode, seed: seed, acct: acct}
-	lc.net = local.NewNetwork(g, seed)
+	lc.net = cfg.NewNetwork(g, seed)
 	if mode == ListColorDeterministic {
 		colors, k, rounds := dist.Linial(lc.net)
 		lc.baseColors, lc.baseK = colors, k
@@ -160,8 +161,9 @@ func repairDefer(colors []int, active []bool) int {
 // pairwise-independent repairs is charged its max rounds plus the
 // scheduling cost — not the sum the pre-batching safety net billed. Used
 // as the safety net that makes every algorithm total on all nice inputs.
-func RepairUncolored(g *graph.G, colors []int, delta int, seed int64, acct *local.Accountant) (*brooks.BatchResult, error) {
-	res, err := brooks.Repair(g, colors, delta, seed)
+// The engine's networks are built with cfg.
+func RepairUncolored(g *graph.G, colors []int, delta int, seed int64, acct *local.Accountant, cfg local.Config) (*brooks.BatchResult, error) {
+	res, err := brooks.Repair(g, colors, delta, seed, cfg)
 	if err != nil {
 		return res, fmt.Errorf("repair: %w", err)
 	}

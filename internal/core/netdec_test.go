@@ -7,6 +7,7 @@ import (
 
 	"deltacolor/graph"
 	"deltacolor/graph/gen"
+	"deltacolor/local"
 	"deltacolor/verify"
 )
 
@@ -24,7 +25,7 @@ func TestDeterministicNetDecOnFamilies(t *testing.T) {
 	}
 	for _, tc := range families {
 		t.Run(tc.name, func(t *testing.T) {
-			res, err := DeterministicNetDec(tc.g, 1)
+			res, err := DeterministicNetDec(tc.g, 1, local.Config{})
 			if err != nil {
 				t.Fatalf("DeterministicNetDec: %v", err)
 			}
@@ -34,10 +35,10 @@ func TestDeterministicNetDecOnFamilies(t *testing.T) {
 }
 
 func TestDeterministicNetDecRejectsBadInputs(t *testing.T) {
-	if _, err := DeterministicNetDec(gen.Complete(5), 1); !errors.Is(err, ErrComplete) {
+	if _, err := DeterministicNetDec(gen.Complete(5), 1, local.Config{}); !errors.Is(err, ErrComplete) {
 		t.Fatalf("K5: got %v, want ErrComplete", err)
 	}
-	if _, err := DeterministicNetDec(gen.Cycle(9), 1); !errors.Is(err, ErrDegreeTooSmall) {
+	if _, err := DeterministicNetDec(gen.Cycle(9), 1, local.Config{}); !errors.Is(err, ErrDegreeTooSmall) {
 		t.Fatalf("C9: got %v, want ErrDegreeTooSmall", err)
 	}
 }
@@ -46,7 +47,7 @@ func TestDeterministicNetDecMultipleSeeds(t *testing.T) {
 	rng := rand.New(rand.NewSource(66))
 	g := gen.MustRandomRegular(rng, 128, 4)
 	for seed := int64(0); seed < 4; seed++ {
-		res, err := DeterministicNetDec(g, seed)
+		res, err := DeterministicNetDec(g, seed, local.Config{})
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -115,7 +116,7 @@ func TestRulingSetViaDecompositionSpacing(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	g := gen.MustRandomRegular(rng, 256, 4)
 	// Build a decomposition and derive a spaced ruling set from it.
-	res, err := DeterministicNetDec(g, 2)
+	res, err := DeterministicNetDec(g, 2, local.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

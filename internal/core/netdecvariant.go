@@ -27,7 +27,8 @@ import (
 // Compared to Deterministic (Theorem 4), the ruling set and the list
 // colorings ride on the decomposition instead of the AGLP recursion and
 // Linial color classes; experiment E8 compares the two round counts.
-func DeterministicNetDec(g *graph.G, seed int64) (*Result, error) {
+// Every network the run builds is made with cfg.
+func DeterministicNetDec(g *graph.G, seed int64, cfg local.Config) (*Result, error) {
 	delta, err := CheckNice(g, 3)
 	if err != nil {
 		return nil, err
@@ -51,61 +52,17 @@ func DeterministicNetDec(g *graph.G, seed int64) (*Result, error) {
 	// G-rounds, plus a distance-R probe per chosen candidate batch.
 	rB := brooks.SearchRadius(n, delta)
 	bigR := 6*rB + 3
-	base := rulingSetViaDecomposition(g, dec, bigR)
+	base := rulingSetViaDecomposition(g, dec, bigR, cfg)
 	acct.Charge("ruling-set", dec.NumColors*(2*dec.MaxRadius+1+bigR))
 	if len(base) == 0 {
 		base = []int{0}
 	}
 
-	// (3) Layers by distance to B0, colored in reverse.
-	layer := Layering(g, base, nil)
-	s := 0
-	for _, l := range layer {
-		if l > s {
-			s = l
-		}
-	}
-	acct.Charge("layering", s)
+	// (3)–(4) Layers by distance to B0 colored in reverse, then B0 via
+	// Theorem 5 (spacing >= bigR puts every B0 repair in one batch).
+	layer, s := peelLayers(g, base, acct)
 	acct.End()
-
-	colors := make([]int, n)
-	for v := range colors {
-		colors[v] = -1
-	}
-	lc := NewLayerColorer(g, delta, ListColorDeterministic, seed, acct)
-	repairs, err := lc.ColorLayersReverse(colors, layer, s, "layers")
-	if err != nil {
-		return nil, err
-	}
-
-	// (4) B0 via Theorem 5 through the batch engine (independent
-	// recolorings; spacing >= bigR puts them all in one batch).
-	b0res, err := brooks.RepairHoles(g, colors, base, delta, seed+0xb0)
-	if err != nil {
-		return nil, fmt.Errorf("netdec variant: color B0: %w", err)
-	}
-	chargeRepairBatches(acct, "brooks-B0", b0res)
-
-	rres, err := RepairUncolored(g, colors, delta, seed+0x4e9, acct)
-	if err != nil {
-		return nil, fmt.Errorf("netdec variant: %w", err)
-	}
-	repairs += rres.Fixed
-
-	if err := dist.VerifyColoring(g, colors); err != nil {
-		return nil, fmt.Errorf("netdec variant: %w", err)
-	}
-	out := &Result{
-		Colors:  colors,
-		Delta:   delta,
-		Rounds:  acct.Total(),
-		Phases:  acct.Phases(),
-		Repairs: repairs,
-	}
-	out.addRepairStats(b0res)
-	out.addRepairStats(rres)
-	out.Span = acct.FinishSpans()
-	return out, nil
+	return colorFromBase(g, delta, base, layer, s, seed, cfg, acct, "netdec variant")
 }
 
 // rulingSetViaDecomposition selects cluster centers class by class,
@@ -121,10 +78,10 @@ func DeterministicNetDec(g *graph.G, seed int64) (*Result, error) {
 // message-passing form, allocation-free int rounds), and only the
 // intra-class additions are marked centrally as each center is accepted.
 // The manual round charge at the call site covers the floods.
-func rulingSetViaDecomposition(g *graph.G, dec *dist.Decomposition, bigR int) []int {
+func rulingSetViaDecomposition(g *graph.G, dec *dist.Decomposition, bigR int, cfg local.Config) []int {
 	var base []int
 	chosen := make([]bool, g.N())
-	fnet := local.NewNetwork(g, 1)
+	fnet := cfg.NewNetwork(g, 1)
 	for class := 0; class < dec.NumColors; class++ {
 		blocked := local.FloodStepped(fnet, chosen, bigR-1)
 		for ci, center := range dec.Centers {

@@ -21,6 +21,7 @@ type RandOptions struct {
 	P          float64       // selection probability (0 = auto: Δ^-b clamped to practical scale)
 	ListMode   ListColorMode // list-coloring subroutine (0 = randomized)
 	SmallDelta bool          // force the small-Δ parameterization r = Θ(log log n)
+	Net        local.Config  // every network the run builds is made with it
 }
 
 // AutoParams fills the zero fields of o per the paper's choices: the
@@ -111,7 +112,7 @@ func Randomized(g *graph.G, opts RandOptions) (*Result, error) {
 	for v := range colors {
 		colors[v] = -1
 	}
-	lc := NewLayerColorer(g, delta, o.ListMode, o.Seed, acct)
+	lc := NewLayerColorer(g, delta, o.ListMode, o.Seed, acct, o.Net)
 
 	// ---- Phase I: remove DCCs of radius <= r (phases 1-3). ----
 	acct.Begin("dcc-removal")
@@ -125,7 +126,7 @@ func Randomized(g *graph.G, opts RandOptions) (*Result, error) {
 		// The virtual DCC network is built directly from g's port tables
 		// (linear in the groups' sizes and boundary edges), not by the
 		// O(m) graph.Quotient + NewNetwork rebuild.
-		qnet := local.QuotientNetwork(g, dccs, o.Seed+11)
+		qnet := local.QuotientNetwork(g, dccs, o.Seed+11, o.Net)
 		inMIS, misRounds := dist.LubyMIS(qnet, nil)
 		acct.Charge("dcc-ruling-set", misRounds*(2*o.R+1))
 		var base []int
@@ -230,7 +231,7 @@ func Randomized(g *graph.G, opts RandOptions) (*Result, error) {
 		acct.Charge("B0-bruteforce", 2*maxRad+1)
 	}
 
-	rres, err := RepairUncolored(g, colors, delta, o.Seed+0x4e9, acct)
+	rres, err := RepairUncolored(g, colors, delta, o.Seed+0x4e9, acct, o.Net)
 	if err != nil {
 		return nil, fmt.Errorf("randomized: %w", err)
 	}

@@ -26,7 +26,7 @@ import (
 func colorSmallComponents(g *graph.G, inL []bool, colors []int, delta int, o RandOptions, lc *LayerColorer, acct *local.Accountant) (int, error) {
 	n := g.N()
 	lGraph := maskGraph(g, inL)
-	comp, count := componentsOf(lGraph)
+	comp, count := componentsOf(lGraph, o.Net)
 	byComp := make([][]int, count)
 	for v := 0; v < n; v++ {
 		if inL[v] {
@@ -57,7 +57,7 @@ func colorSmallComponents(g *graph.G, inL []bool, colors []int, delta int, o Ran
 	for gi, grp := range groups {
 		nodeSets[gi] = grp.nodes
 	}
-	qnet := local.QuotientNetwork(lGraph, nodeSets, o.Seed+23)
+	qnet := local.QuotientNetwork(lGraph, nodeSets, o.Seed+23, o.Net)
 	inMIS, misRounds := dist.LubyMIS(qnet, nil)
 	acct.Charge("small-ruling-set", misRounds*(2*maxRC+1))
 
@@ -149,10 +149,11 @@ const smallComponentNetLimit = 65536
 // analysis describes). A graph above smallComponentNetLimit, or a
 // component overrunning the collector's own cap, falls back to the
 // central traversal. Both number components in ascending order of their
-// minimum member, so the fallback is observationally invisible.
-func componentsOf(lGraph *graph.G) ([]int, int) {
+// minimum member, so the fallback is observationally invisible. The
+// collector's network is built with cfg.
+func componentsOf(lGraph *graph.G, cfg local.Config) ([]int, int) {
 	if lGraph.N() <= smallComponentNetLimit {
-		if comp, count, ok := local.CollectComponents(local.NewNetwork(lGraph, 1)); ok {
+		if comp, count, ok := local.CollectComponents(cfg.NewNetwork(lGraph, 1)); ok {
 			return comp, count
 		}
 	}

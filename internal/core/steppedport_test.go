@@ -9,6 +9,7 @@ import (
 	"deltacolor/graph"
 	"deltacolor/graph/gen"
 	"deltacolor/internal/dist"
+	"deltacolor/local"
 )
 
 // centralRulingSet is the per-candidate central BFS probe that
@@ -60,7 +61,7 @@ func TestRulingSetViaDecompositionSteppedMatchesCentral(t *testing.T) {
 		beta := 1.0 / math.Max(1, math.Log(float64(tc.n+2)))
 		dec := dist.Decompose(g, nil, beta, tc.seed)
 		for _, bigR := range []int{3, 9, 27} {
-			stepped := rulingSetViaDecomposition(g, dec, bigR)
+			stepped := rulingSetViaDecomposition(g, dec, bigR, local.Config{})
 			central := centralRulingSet(g, dec, bigR)
 			if !reflect.DeepEqual(stepped, central) {
 				t.Fatalf("%s bigR=%d: stepped base %v, central %v", tc.name, bigR, stepped, central)
@@ -82,7 +83,7 @@ func TestComponentsOfMatchesCentral(t *testing.T) {
 		}
 		lGraph := maskGraph(g, inL)
 		wantComp, wantCount := lGraph.ConnectedComponents()
-		comp, count := componentsOf(lGraph)
+		comp, count := componentsOf(lGraph, local.Config{})
 		if count != wantCount || !reflect.DeepEqual(comp, wantComp) {
 			t.Fatalf("trial %d: stepped components diverge (count %d vs %d)", trial, count, wantCount)
 		}

@@ -8,6 +8,7 @@ import (
 	"deltacolor/graph/gen"
 	"deltacolor/internal/baseline"
 	"deltacolor/internal/core"
+	"deltacolor/local"
 	"deltacolor/verify"
 )
 
@@ -115,7 +116,7 @@ func E3Deterministic(cfg Config) *Table {
 			n := 1 << e
 			rng := rand.New(rand.NewSource(cfg.Seed + int64(e*1000+delta)))
 			g := gen.MustRandomRegular(rng, n, delta)
-			res, err := core.Deterministic(g, cfg.Seed+int64(e))
+			res, err := core.Deterministic(g, cfg.Seed+int64(e), local.Config{})
 			if err != nil {
 				panic(fmt.Sprintf("E3 Δ=%d n=%d: %v", delta, n, err))
 			}
@@ -157,13 +158,13 @@ func E4Baseline(cfg Config) *Table {
 		}
 		mustColoring(g, rres.Colors, rres.Delta, "E4/rand")
 
-		dres, err := core.Deterministic(g, cfg.Seed+int64(e))
+		dres, err := core.Deterministic(g, cfg.Seed+int64(e), local.Config{})
 		if err != nil {
 			panic(fmt.Sprintf("E4 det n=%d: %v", n, err))
 		}
 		mustColoring(g, dres.Colors, dres.Delta, "E4/det")
 
-		bres, err := baseline.Color(g, cfg.Seed+int64(e))
+		bres, err := baseline.Color(g, cfg.Seed+int64(e), local.Config{})
 		if err != nil {
 			panic(fmt.Sprintf("E4 baseline n=%d: %v", n, err))
 		}
@@ -196,12 +197,12 @@ func E8NetDec(cfg Config) *Table {
 		n := 1 << e
 		rng := rand.New(rand.NewSource(cfg.Seed + int64(e*7)))
 		g := gen.MustRandomRegular(rng, n, 4)
-		d4, err := core.Deterministic(g, cfg.Seed+int64(e))
+		d4, err := core.Deterministic(g, cfg.Seed+int64(e), local.Config{})
 		if err != nil {
 			panic(fmt.Sprintf("E8 thm4 n=%d: %v", n, err))
 		}
 		mustColoring(g, d4.Colors, d4.Delta, "E8/thm4")
-		d21, err := core.DeterministicNetDec(g, cfg.Seed+int64(e))
+		d21, err := core.DeterministicNetDec(g, cfg.Seed+int64(e), local.Config{})
 		if err != nil {
 			panic(fmt.Sprintf("E8 thm21 n=%d: %v", n, err))
 		}

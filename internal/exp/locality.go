@@ -6,7 +6,7 @@ package exp
 // (reverse Cuthill–McKee, graph.LocalityOrder) so the engine tables are
 // walked near-sequentially; E14 measures exactly that effect by running
 // the E12 heartbeat workload with relabeling on and off (the
-// local.SetRelabel ablation hook) across graph families whose external
+// local.Config.NoRelabel ablation) across graph families whose external
 // labelings range from already-sequential (path, grid) to fully random
 // (rr4). cmd/benchsuite serializes the report (BENCH_locality.json) and
 // LocalityGate turns it into a CI check: relabeling must never lose to
@@ -67,11 +67,10 @@ func localityCase(family string, n int, seed int64) *graph.G {
 
 // LocalityAblation measures heartbeat throughput with relabeling off and
 // on for every (family, n) case, single-worker for host comparability.
-// The package-wide relabel default is restored before returning.
+// Each leg builds its network with its own local.Config, so nothing
+// outside this call sees the ablation.
 func LocalityAblation(cfg Config) *LocalityReport {
 	cfg.install()
-	prev := local.RelabelEnabled()
-	defer local.SetRelabel(prev)
 	rep := &LocalityReport{
 		Schema:     LocalitySchema,
 		GoMaxProcs: runtime.GOMAXPROCS(0),
@@ -98,9 +97,8 @@ func LocalityAblation(cfg Config) *LocalityReport {
 	for _, tc := range cases {
 		g := localityCase(tc.family, tc.n, cfg.Seed)
 		for _, rl := range []bool{false, true} {
-			local.SetRelabel(rl)
 			t0 := time.Now()
-			net := local.NewNetwork(g, cfg.Seed)
+			net := local.Config{NoRelabel: !rl}.NewNetwork(g, cfg.Seed)
 			build := time.Since(t0)
 			net.SetWorkers(1)
 
@@ -155,7 +153,7 @@ func (rep *LocalityReport) Table() *Table {
 			fmt.Sprintf("%.0f", r.AllocsPerRound), speed)
 	}
 	t.AddNote("GOMAXPROCS=%d, quick=%v; one worker throughout. relabel=false ablates the reverse Cuthill–McKee "+
-		"internal ordering (local.SetRelabel), so the off/on pairs isolate the cache-locality effect: rr4's external "+
+		"internal ordering (local.Config.NoRelabel), so the off/on pairs isolate the cache-locality effect: rr4's external "+
 		"labels are random (every delivery a cold line without relabeling), path/grid are already near-sequential "+
 		"and bound the pass's overhead.", rep.GoMaxProcs, rep.Quick)
 	return t

@@ -70,16 +70,13 @@ func TestLocalityReportRoundTrip(t *testing.T) {
 	}
 }
 
-// TestQuickE14RestoresRelabelDefault: the ablation runner toggles the
-// package-wide relabel default; it must leave it as it found it and
-// produce paired rows for every case.
+// TestQuickE14RestoresRelabelDefault: the ablation runner builds each leg
+// with its own local.Config, so the zero-Config networks built after it
+// still relabel; it must produce paired rows for every case.
 func TestQuickE14RestoresRelabelDefault(t *testing.T) {
-	if !local.RelabelEnabled() {
-		t.Fatal("premise: relabeling should be the package default")
-	}
 	rep := LocalityAblation(Config{Quick: true, Seed: 17})
-	if !local.RelabelEnabled() {
-		t.Fatal("E14 left relabeling ablated")
+	if !local.NewNetwork(runtimeCase("rr4", 1000, 17), 17).Relabeled() {
+		t.Fatal("a zero-Config network built after E14 is not relabeled")
 	}
 	if len(rep.Rows)%2 != 0 || len(rep.Rows) == 0 {
 		t.Fatalf("E14 rows must come in off/on pairs, got %d", len(rep.Rows))

@@ -18,6 +18,7 @@ import (
 	"deltacolor/graph"
 	"deltacolor/graph/gen"
 	"deltacolor/internal/brooks"
+	"deltacolor/local"
 	"deltacolor/verify"
 )
 
@@ -103,7 +104,7 @@ func E13RepairTail(cfg Config) *Table {
 
 			// After: the batched engine.
 			t1 := time.Now()
-			res, err := brooks.Repair(g, colors, delta, cfg.Seed)
+			res, err := brooks.Repair(g, colors, delta, cfg.Seed, local.Config{})
 			if err != nil {
 				panic(fmt.Sprintf("E13 %s side=%d: %v", pattern, side, err))
 			}

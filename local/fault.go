@@ -42,7 +42,6 @@ package local
 import (
 	"fmt"
 	"math"
-	"sync/atomic"
 )
 
 // CrashWindow takes one node offline for the half-open round interval
@@ -66,7 +65,7 @@ type CrashWindow struct {
 // duplicate, delay) fire: 1-based, inclusive, zero meaning unbounded on
 // that side. Crash windows carry their own bounds.
 //
-// A plan must Validate before use; SetFaultPlan and SetDefaultFaultPlan
+// A plan must Validate before use; SetFaultPlan and Config.NewNetwork
 // enforce that. Plans are treated as immutable once attached.
 type FaultPlan struct {
 	Seed      int64   // fault-schedule seed (independent of the network seed)
@@ -151,31 +150,6 @@ type FaultStats struct {
 func (s FaultStats) Total() int64 {
 	return s.Drops + s.Dups + s.Delays + s.DelayedDrops + s.CrashDrops + s.NodePanics
 }
-
-// defaultFaultPlan is the package default installed on new networks; see
-// SetDefaultFaultPlan.
-var defaultFaultPlan atomic.Pointer[FaultPlan]
-
-// SetDefaultFaultPlan installs a process-wide fault plan picked up by
-// every Network created afterwards (exactly like SetDefaultTracer), or
-// removes it when p is nil. The plan is validated here so the pickup in
-// NewNetwork cannot fail. Pass nil around fault-free sections — the
-// repair engine's internal networks, for example, must not inherit the
-// plan that broke the run they are repairing (deltacolor.Recolor does
-// this automatically).
-func SetDefaultFaultPlan(p *FaultPlan) error {
-	if p != nil {
-		if err := p.Validate(); err != nil {
-			return err
-		}
-	}
-	defaultFaultPlan.Store(p)
-	return nil
-}
-
-// DefaultFaultPlan returns the currently installed package default (nil
-// when none).
-func DefaultFaultPlan() *FaultPlan { return defaultFaultPlan.Load() }
 
 // SetFaultPlan attaches a fault plan to this network (nil detaches). Must
 // not be called during a run; the plan applies to subsequent runs.

@@ -40,34 +40,33 @@ func TestFaultPlanValidate(t *testing.T) {
 	}
 }
 
-func TestSetFaultPlanRejectsInvalid(t *testing.T) {
-	net := NewNetwork(pathGraph(3), 1)
-	if err := net.SetFaultPlan(&FaultPlan{DropProb: 0.5}); err == nil {
-		t.Fatal("attach of invalid plan succeeded")
-	}
-	if net.FaultPlan() != nil {
-		t.Fatal("invalid plan left attached")
-	}
-	if err := SetDefaultFaultPlan(&FaultPlan{DropProb: 2}); err == nil {
-		t.Fatal("invalid default plan accepted")
-	}
-}
-
 func TestDefaultFaultPlanPickup(t *testing.T) {
 	plan := &FaultPlan{DropProb: 0.25, RoundLimit: 64}
-	if err := SetDefaultFaultPlan(plan); err != nil {
-		t.Fatal(err)
+	cfg := Config{Faults: plan}
+	g := pathGraph(6)
+	groups := [][]int{{0, 1}, {2, 3}, {4, 5}}
+	nets := map[string]*Network{
+		"NewNetwork":         cfg.NewNetwork(g, 1),
+		"QuotientNetwork":    QuotientNetwork(g, groups, 1, cfg),
+		"QuotientBuilder #1": NewQuotientBuilder(g, cfg).Build(groups, 1),
 	}
-	defer func() { _ = SetDefaultFaultPlan(nil) }()
-	net := NewNetwork(pathGraph(4), 1)
-	if net.FaultPlan() != plan {
-		t.Fatal("NewNetwork did not pick up the default fault plan")
+	qb := NewQuotientBuilder(g, cfg)
+	qb.Build(groups, 1)
+	nets["QuotientBuilder #2"] = qb.Build(groups[1:], 2)
+	for name, net := range nets {
+		if net.FaultPlan() != plan {
+			t.Errorf("%s: network built with Config.Faults did not carry the plan", name)
+		}
 	}
-	_ = SetDefaultFaultPlan(nil)
-	net2 := NewNetwork(pathGraph(4), 1)
-	if net2.FaultPlan() != nil {
-		t.Fatal("plan still attached after default cleared")
+	if NewNetwork(g, 1).FaultPlan() != nil || QuotientNetwork(g, groups, 1, Config{}).FaultPlan() != nil {
+		t.Fatal("zero Config built a network with a fault plan")
 	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Config with an invalid plan built a network")
+		}
+	}()
+	Config{Faults: &FaultPlan{DropProb: 2}}.NewNetwork(g, 1)
 }
 
 // broadcastRounds is the shared fixed-round probe: every node broadcasts

@@ -71,8 +71,8 @@
 // observable surface — Ctx.ID, Ctx.Rand seeding, Run/RunStepped output
 // order, RunWithInput input order, port numbering, DeadSend records,
 // MessageStats — in the caller's external IDs, so outputs are
-// byte-identical with relabeling on or off. SetRelabel is the ablation
-// hook (and E14 measures the effect).
+// byte-identical with relabeling on or off. Config.NoRelabel is the
+// ablation (and E14 measures the effect).
 //
 // # Typed small-integer fast path
 //
@@ -465,20 +465,6 @@ func SetStrictDeadSends(on bool) { strictDead.Store(on) }
 // StrictDeadSends reports the current package default.
 func StrictDeadSends() bool { return strictDead.Load() }
 
-// relabelOff ablates the locality relabeling for networks created
-// afterwards; the zero value means relabeling is ON (the default).
-var relabelOff atomic.Bool
-
-// SetRelabel toggles the cache-locality node relabeling (on by default)
-// for networks created afterwards. Relabeling is a memory-layout detail
-// with no observable effect — every public surface reports external IDs
-// and outputs are byte-identical either way — so the only reason to turn
-// it off is ablation measurement (experiment E14 does exactly that).
-func SetRelabel(on bool) { relabelOff.Store(!on) }
-
-// RelabelEnabled reports the current package default.
-func RelabelEnabled() bool { return !relabelOff.Load() }
-
 // Relabeled reports whether this network's internal tables actually use
 // a non-identity locality order (false when relabeling was ablated or
 // the computed order was already the identity).
@@ -493,24 +479,42 @@ func (net *Network) toExt(i int) int {
 	return int(net.extID[i])
 }
 
+// Config is the per-call network configuration: every network one
+// pipeline call builds is made with the same Config, so a fault plan or
+// the relabel ablation reaches exactly that call's networks and nothing
+// running beside it. The zero Config is a fault-free, relabeled network.
+type Config struct {
+	// Faults is attached to every network built with this Config (nil =
+	// fault-free). It must pass Validate; NewNetwork panics otherwise.
+	Faults *FaultPlan
+	// NoRelabel ablates the cache-locality node relabeling. Relabeling is
+	// a memory-layout detail with no observable effect — every public
+	// surface reports external IDs and outputs are byte-identical either
+	// way — so the only reason to set this is ablation measurement
+	// (experiment E14 does exactly that).
+	NoRelabel bool
+}
+
+// NewNetwork prepares a network over g with the given randomness seed
+// and the zero Config.
+func NewNetwork(g *graph.G, seed int64) *Network { return Config{}.NewNetwork(g, seed) }
+
 // NewNetwork prepares a network over g with the given randomness seed.
 // Construction is O(n + Σ deg) plus the locality-order pass (BFS-shaped;
 // see graph.LocalityOrder): directed edges are bucketed by their head
 // node, then each bucket is resolved against a scratch port index, so
 // even a clique builds in time linear in its edge count.
-func NewNetwork(g *graph.G, seed int64) *Network {
+func (c Config) NewNetwork(g *graph.G, seed int64) *Network {
 	n := g.N()
 	net := &Network{g: g, seed: seed, intPath: true, tracer: defaultTracer.Load()}
 	if strictDead.Load() {
 		net.trackDead = true
 		net.strict = true
 	}
-	if p := defaultFaultPlan.Load(); p != nil {
-		// The default plan was validated when it was installed, so the
-		// attach cannot fail here.
-		_ = net.SetFaultPlan(p)
+	if err := net.SetFaultPlan(c.Faults); err != nil {
+		panic(fmt.Sprintf("local: Config.NewNetwork: %v", err))
 	}
-	if !relabelOff.Load() && n > 1 {
+	if !c.NoRelabel && n > 1 {
 		ord := graph.LocalityOrder(g)
 		// Adopt the order only when it strictly improves the labeling
 		// bandwidth: RCM reverses an already-sequential labeling (equal

@@ -19,9 +19,10 @@ import (
 // build is linear in Σ_groups (|group| + deg(group)). The quotient's edge
 // set is identical to graph.Quotient's (adjacency order may differ, which
 // protocols must not — and do not — depend on, exactly as with the map
-// iteration order of graph.Quotient).
-func QuotientNetwork(parent *graph.G, groups [][]int, seed int64) *Network {
-	return NewQuotientBuilder(parent).Build(groups, seed)
+// iteration order of graph.Quotient). The network is built with cfg, like
+// every other network of the calling pipeline.
+func QuotientNetwork(parent *graph.G, groups [][]int, seed int64, cfg Config) *Network {
+	return NewQuotientBuilder(parent, cfg).Build(groups, seed)
 }
 
 // QuotientBuilder builds quotient networks of one parent graph repeatedly,
@@ -36,6 +37,7 @@ func QuotientNetwork(parent *graph.G, groups [][]int, seed int64) *Network {
 // and edges. Not safe for concurrent use.
 type QuotientBuilder struct {
 	parent *graph.G
+	cfg    Config
 	// first[v] is v's owning group in the current build, valid only when
 	// stamp[v] == epoch — no per-build reset pass.
 	first []int32
@@ -43,19 +45,20 @@ type QuotientBuilder struct {
 	epoch int32
 }
 
-// NewQuotientBuilder prepares a builder over parent. The O(n) owner-array
-// allocation happens here, once.
-func NewQuotientBuilder(parent *graph.G) *QuotientBuilder {
+// NewQuotientBuilder prepares a builder over parent whose networks are
+// built with cfg. The O(n) owner-array allocation happens here, once.
+func NewQuotientBuilder(parent *graph.G, cfg Config) *QuotientBuilder {
 	n := parent.N()
 	return &QuotientBuilder{
 		parent: parent,
+		cfg:    cfg,
 		first:  make([]int32, n),
 		stamp:  make([]int32, n),
 	}
 }
 
 // Build constructs the quotient network of the builder's parent under
-// groups — identical output to QuotientNetwork(parent, groups, seed).
+// groups — identical output to QuotientNetwork(parent, groups, seed, cfg).
 func (b *QuotientBuilder) Build(groups [][]int, seed int64) *Network {
 	parent := b.parent
 	q := len(groups)
@@ -126,5 +129,5 @@ func (b *QuotientBuilder) Build(groups [][]int, seed int64) *Network {
 	if err != nil {
 		panic(fmt.Sprintf("local: QuotientNetwork: %v", err))
 	}
-	return NewNetwork(qg, seed)
+	return b.cfg.NewNetwork(qg, seed)
 }

@@ -31,7 +31,7 @@ func TestQuotientNetworkMatchesGraphQuotient(t *testing.T) {
 	groups := quotientGroups(g)
 
 	want := graph.Quotient(g, groups)
-	got := QuotientNetwork(g, groups, 3).Graph()
+	got := QuotientNetwork(g, groups, 3, Config{}).Graph()
 
 	if got.N() != want.N() || got.M() != want.M() {
 		t.Fatalf("quotient shape: got n=%d m=%d, want n=%d m=%d", got.N(), got.M(), want.N(), want.M())
@@ -75,7 +75,7 @@ func TestQuotientNetworkRunsProtocols(t *testing.T) {
 		ctx.SetOutput(sum)
 	}
 	want := NewNetwork(graph.Quotient(g, groups), 3).Run(proto)
-	got := QuotientNetwork(g, groups, 3).Run(proto)
+	got := QuotientNetwork(g, groups, 3, Config{}).Run(proto)
 	for v := range want {
 		if got[v] != want[v] {
 			t.Fatalf("quotient node %d: %v vs %v", v, got[v], want[v])
@@ -89,7 +89,7 @@ func TestQuotientNetworkRunsProtocols(t *testing.T) {
 // does, including after groups that exercise the shared-member spill map.
 func TestQuotientBuilderReusedMatchesFresh(t *testing.T) {
 	g := randomGraph(120, 0.05, 11)
-	qb := NewQuotientBuilder(g)
+	qb := NewQuotientBuilder(g, Config{})
 	groupSets := [][][]int{
 		quotientGroups(g),
 		{{3, 4}, {10, 11, 12}, {40}},
@@ -97,7 +97,7 @@ func TestQuotientBuilderReusedMatchesFresh(t *testing.T) {
 		quotientGroups(g),
 	}
 	for si, groups := range groupSets {
-		want := QuotientNetwork(g, groups, 3).Graph()
+		want := QuotientNetwork(g, groups, 3, Config{}).Graph()
 		got := qb.Build(groups, 3).Graph()
 		if got.N() != want.N() || got.M() != want.M() {
 			t.Fatalf("set %d: got n=%d m=%d, want n=%d m=%d", si, got.N(), got.M(), want.N(), want.M())
@@ -129,11 +129,11 @@ func BenchmarkQuotientBuild(b *testing.B) {
 	b.Run("fresh", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			QuotientNetwork(g, groups, 1)
+			QuotientNetwork(g, groups, 1, Config{})
 		}
 	})
 	b.Run("reused", func(b *testing.B) {
-		qb := NewQuotientBuilder(g)
+		qb := NewQuotientBuilder(g, Config{})
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -161,7 +161,7 @@ func TestQuotientNetworkSharedMemberAdjacent(t *testing.T) {
 		{{0, 1, 2, 3}, {3}, {3, 4, 5}}, // singleton inside both
 	}
 	for ci, groups := range cases {
-		net := QuotientNetwork(g, groups, 1)
+		net := QuotientNetwork(g, groups, 1, Config{})
 		qg := net.Graph()
 		for a := 0; a < len(groups); a++ {
 			inA := map[int]bool{}

@@ -8,14 +8,9 @@ import (
 	"deltacolor/graph"
 )
 
-// withRelabel runs f under the given package-wide relabel default and
-// restores the previous one.
-func withRelabel(on bool, f func()) {
-	prev := RelabelEnabled()
-	SetRelabel(on)
-	defer SetRelabel(prev)
-	f()
-}
+// ablated is the relabel-off configuration the invariance tests compare
+// the default (zero) Config against.
+var ablated = Config{NoRelabel: true}
 
 // scrambledGraph returns a connected graph whose labels are deliberately
 // scattered (a randomly relabeled cycle plus chords), so the locality
@@ -44,11 +39,9 @@ func TestRelabelActuallyRelabels(t *testing.T) {
 	if !net.Relabeled() {
 		t.Fatal("scrambled graph produced an identity locality order; invariance tests would be vacuous")
 	}
-	withRelabel(false, func() {
-		if NewNetwork(scrambledGraph(64, 3), 1).Relabeled() {
-			t.Fatal("SetRelabel(false) did not ablate the relabeling")
-		}
-	})
+	if ablated.NewNetwork(scrambledGraph(64, 3), 1).Relabeled() {
+		t.Fatal("Config.NoRelabel did not ablate the relabeling")
+	}
 }
 
 // TestRelabelIDAndPortSurface: with relabeling active, every node must
@@ -109,8 +102,8 @@ type runOutcome struct {
 	stats  MessageStats
 }
 
-func captureRun(g *graph.G, seed int64, f NodeFunc) runOutcome {
-	net := NewNetwork(g, seed)
+func captureRun(cfg Config, g *graph.G, seed int64, f NodeFunc) runOutcome {
+	net := cfg.NewNetwork(g, seed)
 	net.TrackDeadSends(true)
 	net.EnableMessageStats()
 	outs := net.Run(f)
@@ -151,9 +144,7 @@ func TestRelabelInvariance(t *testing.T) {
 	}
 	for seed := int64(1); seed <= 3; seed++ {
 		g := scrambledGraph(150, seed)
-		var on, off runOutcome
-		withRelabel(true, func() { on = captureRun(g, seed, proto) })
-		withRelabel(false, func() { off = captureRun(g, seed, proto) })
+		on, off := captureRun(Config{}, g, seed, proto), captureRun(ablated, g, seed, proto)
 		if !reflect.DeepEqual(on, off) {
 			t.Fatalf("seed %d: relabel-on and relabel-off runs differ:\non:  %+v\noff: %+v", seed, on, off)
 		}
@@ -167,12 +158,10 @@ func TestRelabelInvariance(t *testing.T) {
 // external adjacency regardless of relabeling.
 func TestRelabelGatherBall(t *testing.T) {
 	g := scrambledGraph(80, 5)
-	collect := func() []*Ball {
-		return GatherStepped(NewNetwork(g, 1), 2)
+	collect := func(cfg Config) []*Ball {
+		return GatherStepped(cfg.NewNetwork(g, 1), 2)
 	}
-	var on, off []*Ball
-	withRelabel(true, func() { on = collect() })
-	withRelabel(false, func() { off = collect() })
+	on, off := collect(Config{}), collect(ablated)
 	for v := range on {
 		bOn, bOff := on[v], off[v]
 		if bOn.Center != v {
@@ -222,10 +211,8 @@ func TestRelabelQuotientNetwork(t *testing.T) {
 		}
 		ctx.SetOutput(sum)
 	}
-	run := func() []any { return QuotientNetwork(parent, groups, 3).Run(proto) }
-	var on, off []any
-	withRelabel(true, func() { on = run() })
-	withRelabel(false, func() { off = run() })
+	run := func(cfg Config) []any { return QuotientNetwork(parent, groups, 3, cfg).Run(proto) }
+	on, off := run(Config{}), run(ablated)
 	if !reflect.DeepEqual(on, off) {
 		t.Fatalf("quotient outputs differ:\non:  %v\noff: %v", on, off)
 	}
@@ -239,15 +226,13 @@ func TestRelabelQuotientNetwork(t *testing.T) {
 // the ablated run and to the blocking form.
 func TestRelabelStepped(t *testing.T) {
 	g := scrambledGraph(130, 11)
-	run := func() ([]any, int) {
-		net := NewNetwork(g, 7)
+	run := func(cfg Config) ([]any, int) {
+		net := cfg.NewNetwork(g, 7)
 		outs := RunStepped(net, intFloodStepped(3))
 		return outs, net.Rounds()
 	}
-	var onOuts, offOuts []any
-	var onRounds, offRounds int
-	withRelabel(true, func() { onOuts, onRounds = run() })
-	withRelabel(false, func() { offOuts, offRounds = run() })
+	onOuts, onRounds := run(Config{})
+	offOuts, offRounds := run(ablated)
 	if onRounds != offRounds || !reflect.DeepEqual(onOuts, offOuts) {
 		t.Fatalf("stepped relabel-on differs from relabel-off (rounds %d vs %d)", onRounds, offRounds)
 	}

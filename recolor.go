@@ -103,9 +103,8 @@ func residualConflicts(g *graph.G, colors []int, delta int) []int {
 // colors must have exactly one entry per node of g; after AddNode churn,
 // append -1 entries for the new nodes first. delta is the color budget
 // (typically MaxDegree of the mutated graph; it may exceed the original
-// Δ after insertions). The process-wide default FaultPlan is detached
-// while repair runs — the repair engine's internal networks must not
-// inherit the plan that caused the damage — and restored afterwards.
+// Δ after insertions). The repair engine's networks are fault-free: no
+// fault plan reaches them, whatever other calls run concurrently.
 //
 // On failure the returned error wraps ErrUnrecoverable and carries the
 // residual conflict set; colors then holds the partial state repair
@@ -113,10 +112,6 @@ func residualConflicts(g *graph.G, colors []int, delta int) []int {
 func Recolor(g *graph.G, colors []int, delta int, seed int64) (*RecolorStats, error) {
 	if len(colors) != g.N() {
 		return nil, fmt.Errorf("deltacolor: Recolor: %d colors for %d nodes (append -1 entries for added nodes)", len(colors), g.N())
-	}
-	if prev := local.DefaultFaultPlan(); prev != nil {
-		_ = local.SetDefaultFaultPlan(nil)
-		defer func() { _ = local.SetDefaultFaultPlan(prev) }()
 	}
 	conflicts := ConflictSet(g, colors, delta)
 	for _, v := range conflicts {
@@ -142,10 +137,10 @@ func Recolor(g *graph.G, colors []int, delta int, seed int64) (*RecolorStats, er
 // ColorUnderFaults runs a full pipeline with the given FaultPlan
 // injected into every network it builds, then detects, repairs and
 // verifies the damage: the "run under FaultPlan, detect, repair,
-// verify" mode of every pipeline. The plan is installed as the process
-// default for the duration of the Color call (so the pipeline's internal
-// networks all inherit it) and the previous default is restored before
-// repair runs.
+// verify" mode of every pipeline. The plan travels with this call only
+// (as local.Config.Faults), so concurrent Color, Recolor and
+// ColorUnderFaults calls never see it; the repair pass runs fault-free.
+// An invalid plan returns its Validate error before anything runs.
 //
 // The contract is all-or-typed-error: on nil error the returned
 // Result.Colors passes verify.DeltaColoring; every fault-induced failure
@@ -161,14 +156,12 @@ func ColorUnderFaults(g *graph.G, opts Options, plan *local.FaultPlan) (*Result,
 	if err := opts.validate(); err != nil {
 		return nil, nil, err
 	}
-	prev := local.DefaultFaultPlan()
 	if plan != nil {
-		if err := local.SetDefaultFaultPlan(plan); err != nil {
+		if err := plan.Validate(); err != nil {
 			return nil, nil, err
 		}
 	}
-	res, runErr := colorRecovering(g, opts)
-	_ = local.SetDefaultFaultPlan(prev)
+	res, runErr := colorRecovering(g, opts, local.Config{Faults: plan})
 	if runErr != nil {
 		if isStructuralErr(runErr) {
 			return nil, nil, runErr
@@ -182,17 +175,17 @@ func ColorUnderFaults(g *graph.G, opts Options, plan *local.FaultPlan) (*Result,
 	return res, stats, nil
 }
 
-// colorRecovering is Color with panic containment: under fault injection
+// colorRecovering is color with panic containment: under fault injection
 // a pipeline's central code may trip over engine outputs truncated by a
 // RoundLimit (a nil where a value always was, a partial layering), and
 // that must surface as a recoverable error, not kill the process.
-func colorRecovering(g *graph.G, opts Options) (res *Result, err error) {
+func colorRecovering(g *graph.G, opts Options, cfg local.Config) (res *Result, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			res, err = nil, fmt.Errorf("pipeline panicked under faults: %v", r)
 		}
 	}()
-	return Color(g, opts)
+	return color(g, opts, cfg)
 }
 
 // isStructuralErr reports whether err is a precondition failure the

@@ -217,9 +217,6 @@ func TestColorUnderFaultsStructuralErrPassesThrough(t *testing.T) {
 	if errors.Is(err, deltacolor.ErrUnrecoverable) {
 		t.Fatal("structural error wrapped as unrecoverable")
 	}
-	if p := local.DefaultFaultPlan(); p != nil {
-		t.Fatalf("default plan leaked after structural error: %+v", p)
-	}
 }
 
 func TestColorUnderFaultsRepairsAndVerifies(t *testing.T) {
@@ -254,9 +251,6 @@ func TestColorUnderFaultsRepairsAndVerifies(t *testing.T) {
 	}
 	if *st1 != *st2 {
 		t.Fatalf("repair stats differ: %+v vs %+v", st1, st2)
-	}
-	if p := local.DefaultFaultPlan(); p != nil {
-		t.Fatalf("default plan leaked: %+v", p)
 	}
 	t.Logf("repair stats: %+v", st1)
 }
@@ -301,9 +295,6 @@ func TestColorUnderFaultsProperty(t *testing.T) {
 			t.Fatalf("trial %d: nil error but invalid coloring: %v", trial, verr)
 		}
 		healed++
-	}
-	if p := local.DefaultFaultPlan(); p != nil {
-		t.Fatalf("default plan leaked: %+v", p)
 	}
 	t.Logf("healed %d / unrecoverable %d of %d fault schedules", healed, failed, trials)
 	if healed == 0 {
